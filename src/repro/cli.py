@@ -404,8 +404,7 @@ def _mitigate_run(args, sink: _ObsSink, fault_plan, injector,
                             evaluation_strategy=magus_strategy,
                             workers=args.workers,
                             chunk_deadline_s=args.chunk_deadline_s,
-                            chaos=chaos,
-                            roi=False if args.no_roi else None)
+                            chaos=chaos)
     status = 0
     # Everything below runs under the close() guarantee: whatever path
     # exits — including the structured aborts with exit codes 3/4 —

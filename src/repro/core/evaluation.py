@@ -11,7 +11,7 @@ search algorithms freely re-ask about configurations they have seen
 The evaluator also counts *distinct* model evaluations, which is the
 cost metric of the search-heuristic ablation.
 
-Two evaluation strategies are supported (``strategy=`` knob):
+Three evaluation strategies are supported (``strategy=`` knob):
 
 ``"delta"`` (default)
     Cache-missing configurations are answered incrementally when they
@@ -27,13 +27,14 @@ Two evaluation strategies are supported (``strategy=`` knob):
 ``"parallel"``
     The delta strategy, plus a process-pool
     :class:`~repro.parallel.EvaluationService` (``workers=N``) that
-    fans large :meth:`score_candidates` batches across cores over
-    shared-memory mW planes.  Results are bitwise identical to
-    ``"delta"``; batches below the service's threshold — and every
-    single-configuration query — stay on the serial path.
+    fans large :meth:`score_candidates` batches across cores.  Results
+    are bitwise identical to ``"delta"``; batches below the service's
+    threshold — and every single-configuration query — stay serial.
 
-:meth:`score_candidates` additionally batches K single-sector
-candidates into one vectorized engine pass; batch scores are never
+:meth:`score_candidates` scores every single-sector candidate through
+one windowed kernel (:func:`repro.model.roi.score_candidate`): the
+window is the changed sector's footprint union where the backend
+stores footprints, the full grid otherwise.  Candidate scores are never
 cached, so accepted candidates are always confirmed canonically.
 
 A parallel evaluator owns worker processes: call :meth:`close` (or use
@@ -59,11 +60,6 @@ __all__ = ["Evaluator", "EVALUATION_STRATEGIES"]
 
 EVALUATION_STRATEGIES = ("full", "delta", "parallel")
 
-#: Largest number of candidates scored in one vectorized engine pass;
-#: bigger requests are chunked to bound peak memory (K * raster each
-#: for half a dozen intermediates).
-_BATCH_CHUNK = 64
-
 
 class Evaluator:
     """Memoizing ``f(C)`` oracle over a fixed engine + UE population."""
@@ -75,8 +71,7 @@ class Evaluator:
                  workers: Optional[int] = None,
                  min_parallel_batch: Optional[int] = None,
                  chunk_deadline_s: Optional[float] = None,
-                 chaos=None,
-                 roi: Optional[bool] = None) -> None:
+                 chaos=None) -> None:
         if ue_density.shape != engine.grid.shape:
             raise ValueError("UE raster does not match engine grid")
         if cache_size < 0:
@@ -86,11 +81,6 @@ class Evaluator:
                 f"unknown evaluation strategy {strategy!r}; "
                 f"expected one of {EVALUATION_STRATEGIES}")
         self.engine = engine
-        # ``None`` keeps the engine's default (on); an explicit bool
-        # flips the engine-level knob so delta *and* batch windows
-        # follow one switch (the CLI's --no-roi lands here).
-        if roi is not None:
-            engine.roi = bool(roi)
         self.ue_density = np.asarray(ue_density, dtype=float)
         self.utility = (get_utility(utility)
                         if isinstance(utility, str) else utility)
@@ -196,16 +186,19 @@ class Evaluator:
     # ------------------------------------------------------------------
     def score_candidates(self,
                          configs: Sequence[Configuration]) -> List[float]:
-        """``f(C)`` for each candidate, batched where possible.
+        """``f(C)`` for each candidate, through the windowed kernel.
 
         Candidates that differ from a recent incumbent in exactly one
-        sector are stacked and scored in one vectorized engine pass;
-        the rest (and everything under ``strategy="full"`` or a custom
-        ``UtilityFunction.evaluate`` override) go through the canonical
-        memoized path.  Batch scores are ranking-grade — bitwise equal
-        to the canonical value except when an SINR lands exactly on a
-        CQI threshold — and are **not** cached, so callers must confirm
-        the winning candidate via :meth:`utility_of` before accepting.
+        sector are scored by :func:`repro.model.roi.score_candidate`
+        inside their window (or on the pool, see
+        :meth:`_score_windows`); the rest (and everything under
+        ``strategy="full"`` or a custom ``UtilityFunction.evaluate``
+        override) go through the canonical memoized path.  Kernel
+        scores are ranking-grade — bitwise equal to the canonical
+        value except where the kernel's incremental total moves an
+        SINR across a CQI step (seen on float32 planes only) — and
+        are **not** cached, so callers must confirm the winning
+        candidate via :meth:`utility_of` before accepting.
         """
         configs = list(configs)
         scores: List[Optional[float]] = [None] * len(configs)
@@ -220,49 +213,23 @@ class Evaluator:
             else:
                 remaining.append(i)
         if remaining and self._batchable():
+            engine = self.engine
             for incumbent in list(self._incumbents):
-                group: List[int] = []
-                changed_map: Dict[int, int] = {}
+                items: List[Tuple[int, int, _roi.Box]] = []
                 for i in remaining:
-                    sector = self.engine.single_sector_change(
-                        incumbent, configs[i])
-                    if sector is not None:
-                        group.append(i)
-                        changed_map[i] = sector
-                if not group:
+                    changed = engine.single_sector_change(incumbent,
+                                                          configs[i])
+                    if changed is not None:
+                        items.append((i, changed, engine.roi_window(
+                            incumbent, configs[i], changed)))
+                if not items:
                     continue
-                # Windowed ROI scoring answers whatever it can (the
-                # footprint-resolvable candidates); the rest of the
-                # group stays on the dense batch path.  Either way the
-                # values are bitwise identical.
-                roi_scores = self._score_roi(incumbent, configs, group,
-                                             changed_map)
-                if roi_scores:
-                    for i, value in roi_scores.items():
-                        scores[i] = value
-                dense_group = [i for i in group if scores[i] is None]
-                if dense_group:
-                    parallel = self._score_parallel(
-                        incumbent, [configs[i] for i in dense_group])
-                    if parallel is not None:
-                        for i, value in zip(dense_group, parallel):
-                            scores[i] = value
-                    else:
-                        for start in range(0, len(dense_group),
-                                           _BATCH_CHUNK):
-                            chunk = dense_group[start:start + _BATCH_CHUNK]
-                            batch = self.engine.evaluate_batch(
-                                incumbent, [configs[i] for i in chunk],
-                                self.ue_density)
-                            if batch is None:  # defensive; checked above
-                                break
-                            for i, value in zip(
-                                    chunk, self._batch_utilities(batch)):
-                                scores[i] = value
-                scored = [i for i in group if scores[i] is not None]
-                self._eval_counter.inc(len(scored))
+                for i, value in self._score_windows(incumbent, configs,
+                                                    items).items():
+                    scores[i] = value
+                self._eval_counter.inc(len(items))
                 registry.counter(
-                    "magus.evaluator.model_evaluations").inc(len(scored))
+                    "magus.evaluator.model_evaluations").inc(len(items))
                 remaining = [i for i in remaining if scores[i] is None]
                 if not remaining:
                     break
@@ -272,88 +239,58 @@ class Evaluator:
 
     def _batchable(self) -> bool:
         # A custom ``evaluate`` override may inspect the whole state;
-        # the batch path only materializes stacked rate rasters.
+        # the kernel only materializes the rate raster.
         return (self.strategy in ("delta", "parallel")
                 and type(self.utility).evaluate is UtilityFunction.evaluate)
 
-    def _score_parallel(self, incumbent: DeltaIncumbent,
-                        configs: List[Configuration]
-                        ) -> Optional[List[float]]:
-        """Fan one incumbent's candidate group out to the pool.
+    def _score_windows(self, incumbent: DeltaIncumbent,
+                       configs: Sequence[Configuration],
+                       items: Sequence[Tuple[int, int, _roi.Box]]
+                       ) -> Dict[int, float]:
+        """``{index: utility}`` for one incumbent's candidates.
 
-        ``None`` means "score serially": no service, batch under the
-        threshold, or the service declined (stale epoch, worker
-        failure, daemonic process...).
-        """
-        if self._service is None:
-            return None
-        return self._service.score_batch(incumbent, configs)
-
-    def _score_roi(self, incumbent: DeltaIncumbent,
-                   configs: Sequence[Configuration],
-                   group: Sequence[int],
-                   changed_map: Optional[Dict[int, int]] = None
-                   ) -> Optional[dict]:
-        """Score ``group``'s ROI-eligible members through their windows.
-
-        Returns ``{index: utility}`` for the candidates whose footprint
-        window resolved (possibly empty), or ``None`` when ROI is off
-        or no baseline exists — every unanswered index falls through to
-        the dense batch path with identical results.
-        ``magus.engine.roi_fallbacks`` counts candidates that needed
-        the dense path while ROI was on.
+        ``items`` holds ``(index, changed sector, window)`` triples.
+        With a pool, footprint windows fan out through
+        :meth:`~repro.parallel.EvaluationService.score_batch_roi` and
+        full-grid windows through its dense
+        :meth:`~repro.parallel.EvaluationService.score_batch`;
+        whatever the pool declines (no pool, batch under the
+        threshold, stale epoch, worker failure...) runs through the
+        serial kernel.  Every route is bitwise identical.
         """
         engine = self.engine
-        if not engine.roi:
-            return None
-        registry = get_registry()
         baseline = self._roi_baseline(incumbent)
-        if baseline is None:
-            registry.counter(
-                "magus.engine.roi_fallbacks").inc(len(group))
-            return None
-        items = []
-        fallbacks = 0
-        for i in group:
-            changed = (changed_map.get(i) if changed_map is not None
-                       else engine.single_sector_change(
-                           incumbent, configs[i]))
-            box = (None if changed is None
-                   else engine.roi_window(incumbent, configs[i], changed))
-            if box is None:
-                fallbacks += 1
-                continue
-            items.append((i, changed, box))
-        if fallbacks:
-            registry.counter(
-                "magus.engine.roi_fallbacks").inc(fallbacks)
-        out: dict = {}
-        if not items:
-            return out
+        out: Dict[int, float] = {}
         if self._service is not None:
-            values = self._service.score_batch_roi(
-                baseline, [configs[i] for i, _, _ in items],
-                [(changed, box) for _, changed, box in items])
-            if values is not None:
-                for (i, _, _), value in zip(items, values):
-                    out[i] = value
-                return out      # service did the engine accounting
-        cells = 0
-        for i, changed, box in items:
+            # The service does the engine accounting for what it scores.
+            windowed = [item for item in items
+                        if item[2] != engine.full_window]
+            if windowed:
+                values = self._service.score_batch_roi(
+                    baseline, [configs[i] for i, _, _ in windowed],
+                    [(changed, box) for _, changed, box in windowed])
+                if values is not None:
+                    out.update(zip((i for i, _, _ in windowed), values))
+            full = [item for item in items
+                    if item[2] == engine.full_window]
+            if full:
+                values = self._service.score_batch(
+                    incumbent, [configs[i] for i, _, _ in full])
+                if values is not None:
+                    out.update(zip((i for i, _, _ in full), values))
+        serial = [item for item in items if item[0] not in out]
+        for i, changed, box in serial:
             out[i] = _roi.score_candidate(
                 engine, baseline, configs[i], changed, box,
                 self.ue_density, self.utility)
-            cells += _roi.box_area(box)
-        k = len(items)
-        engine._eval_counter.inc(k)
-        registry.counter("magus.engine.evaluations").inc(k)
-        registry.counter("magus.engine.roi_evaluations").inc(k)
-        registry.counter("magus.engine.roi_cells").inc(cells)
+        if serial:
+            engine._eval_counter.inc(len(serial))
+            get_registry().counter("magus.engine.evaluations").inc(
+                len(serial))
+            engine._count_windows([box for _, _, box in serial])
         return out
 
-    def _roi_baseline(self,
-                      incumbent: DeltaIncumbent
-                      ) -> Optional[_roi.RoiBaseline]:
+    def _roi_baseline(self, incumbent: DeltaIncumbent) -> _roi.RoiBaseline:
         key = (incumbent.config, incumbent.epoch)
         hit = self._roi_baselines.get(key)
         if hit is not None:
@@ -361,18 +298,11 @@ class Evaluator:
             return hit
         baseline = _roi.RoiBaseline.from_incumbent(
             incumbent, self.utility, self.ue_density)
-        if baseline is None:
-            return None
         self._roi_baselines[key] = baseline
         # Mirror the two-anchor incumbent ring.
         while len(self._roi_baselines) > 2:
             self._roi_baselines.popitem(last=False)
         return baseline
-
-    def _batch_utilities(self, batch) -> np.ndarray:
-        values = self.utility.per_ue(batch.rate_bps)      # (K, H, W)
-        weighted = values * self.ue_density
-        return weighted.reshape(weighted.shape[0], -1).sum(axis=1)
 
     # ------------------------------------------------------------------
     def _lookup(self, config: Configuration) -> Tuple[NetworkState, float]:

@@ -59,15 +59,13 @@ class Magus:
                  evaluation_strategy: str = "delta",
                  workers: Optional[int] = None,
                  chunk_deadline_s: Optional[float] = None,
-                 chaos=None,
-                 roi: Optional[bool] = None) -> None:
+                 chaos=None) -> None:
         self.network = network
         self.evaluator = Evaluator(engine, ue_density, utility,
                                    strategy=evaluation_strategy,
                                    workers=workers,
                                    chunk_deadline_s=chunk_deadline_s,
-                                   chaos=chaos,
-                                   roi=roi)
+                                   chaos=chaos)
         self.power_settings = power_settings or PowerSearchSettings()
         self.tilt_settings = tilt_settings or TiltSearchSettings()
         self.default_config = (default_config

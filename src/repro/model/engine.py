@@ -4,31 +4,33 @@ Given the path-loss database, a configuration and a UE population, the
 engine computes received power, serving assignment, SINR, single-user
 rate and load-shared actual rate for every grid — the "Analysis Model"
 box of the paper's Figure 6.  This is the inner loop of every search
-algorithm, so everything is NumPy-tensorized, and three layers of
-incremental evaluation sit on top of the canonical pass:
+algorithm, so everything is NumPy-tensorized, and incremental
+evaluation sits on top of the canonical pass (:meth:`evaluate`, the
+reference every fast path is checked against):
 
 * **mW-domain plane caching** — the canonical pass works on cached
   linear-domain gain planes ``10^(L/10)`` (see
   :meth:`PathLossDatabase.gain_tensor_mw`), so a power-only candidate
   scales one plane by the scalar ``10^(P/10)`` instead of
   re-exponentiating the whole ``(n_sectors, rows, cols)`` tensor.
-* **single-sector delta evaluation** — :meth:`evaluate_delta` reuses a
-  :class:`DeltaIncumbent` (the incumbent's per-sector mW planes plus
-  derived serving/best arrays) and recomputes the serving assignment
-  only where the one changed sector can flip the winner.  The result is
-  *bitwise identical* to :meth:`evaluate` (see DESIGN.md, "Evaluation
-  strategies", for the invariants).
+* **windows** — a single-sector change can move received power only
+  inside its window (:meth:`roi_window`): the union of the changed
+  sector's old and new footprints when the backend stores footprint
+  boxes (``clip_floor_db`` zeroed sub-floor gains, see
+  :meth:`PathLossDatabase.footprint`), and the full grid otherwise —
+  which includes the default unclipped ``dict`` backend, rotated
+  patterns and ``roi=False`` (CLI ``--no-roi``).  Dense evaluation is
+  just the full-grid window.
+* **one windowed kernel** — :meth:`evaluate_delta` turns a
+  :class:`DeltaIncumbent` plus one changed sector into the candidate's
+  full :class:`NetworkState`, and
+  :func:`repro.model.roi.score_candidate` scores a candidate's
+  utility; both work inside the window only and are *bitwise
+  identical* to :meth:`evaluate` (see DESIGN.md, "Evaluation
+  strategies" and "Sparse ROI evaluation").
 * **batched candidate scoring** — :meth:`evaluate_batch` stacks K
-  single-sector neighbors along a batch axis and scores them in one
-  vectorized pass against the incumbent.
-* **sparse region-of-influence windows** — with footprint boxes
-  available (``clip_floor_db`` zeroed sub-floor gains at packing, see
-  :meth:`PathLossDatabase.footprint`), :meth:`evaluate_delta` confines
-  the serving repair and the transcendental rasters to the union of
-  the changed sector's old and new footprints (:meth:`roi_window`),
-  and :func:`repro.model.roi.score_candidate` scores batch candidates
-  at O(|ROI|) transcendental cost.  Both stay bitwise identical to the
-  dense paths; ``roi=False`` (CLI ``--no-roi``) disables them.
+  single-sector candidates along a batch axis; the process pool's
+  dense kernel and the parity tests' reference.
 
 The searches reach these through :class:`~repro.core.evaluation.Evaluator`,
 which owns strategy selection and fallback accounting.
@@ -64,9 +66,9 @@ class DeltaIncumbent:
     with its winning values.  ``planes`` is owned by this object and
     mutated never — delta evaluations copy it.  ``state`` is the
     finished :class:`NetworkState` this incumbent was evaluated into
-    (set by ``_finish``); windowed ROI paths copy its rasters and
+    (set by ``_finish``); footprint windows copy its rasters and
     recompute only the window.  Worker-attached incumbents carry
-    ``None`` — they never ran ``_finish`` — and fall back to dense.
+    ``None`` — they never ran ``_finish``.
     """
 
     __slots__ = ("config", "planes", "total_mw", "raw_serving",
@@ -162,29 +164,27 @@ class AnalysisEngine:
         tools apply the same RSRP-style floor (and the paper's Figure 4
         black pixels use "receive power below a threshold").
     roi:
-        Use sparse region-of-influence windows where footprint boxes
-        are available (default on — a no-op, falling back to dense,
-        when the backend has no ``clip_floor_db``).  Results are
-        bitwise identical either way.
-    roi_max_fraction:
-        Dense fallback threshold: windows covering more than this
-        fraction of the grid are scored densely (a near-global window
-        pays the windowing overhead without the savings).
+        Shrink windows to footprint boxes where the backend has them
+        (default on; the default unclipped backend has none, so its
+        windows are the full grid either way).  ``False`` makes every
+        window the full grid.  Results are bitwise identical either
+        way.
     """
 
     def __init__(self, pathloss: PathLossDatabase,
                  link: Optional[LinkAdaptation] = None,
                  noise_dbm: float = DEFAULT_NOISE_DBM,
                  min_rp_dbm: float = -120.0,
-                 roi: bool = True,
-                 roi_max_fraction: float = 0.5) -> None:
+                 roi: bool = True) -> None:
         self.pathloss = pathloss
         self.link = link or LinkAdaptation()
         self.noise_dbm = noise_dbm
         self.min_rp_dbm = min_rp_dbm
         self.roi = roi
-        self.roi_max_fraction = roi_max_fraction
         self.grid = pathloss.grid
+        rows, cols = self.grid.shape
+        #: The window covering the whole grid (dense evaluation).
+        self.full_window: Box = (0, rows, 0, cols)
         # Always-on per-engine evaluation counter (ablation benches read
         # it through the ``evaluations`` property); the active metrics
         # registry is additionally updated on every evaluation.
@@ -259,17 +259,20 @@ class AnalysisEngine:
                        ) -> Optional[Tuple[NetworkState, DeltaIncumbent]]:
         """Re-evaluate ``config`` incrementally from ``incumbent``.
 
-        Only the changed sector's mW plane is rebuilt; the serving
-        argmax is repaired locally (a changed plane can only capture
-        grids from the old winner or release the grids it served).  The
-        total-power plane is re-summed over the swapped plane stack —
-        *not* updated incrementally — so every derived raster is
-        bitwise identical to :meth:`evaluate`.  With :attr:`roi` on and
-        a footprint window available, the repair, the re-sum and the
-        transcendental rasters are confined to the window (still
-        bitwise identical — outside it the changed plane is exactly
-        zero before and after).  Returns ``None`` when the change is
-        not a single-sector one (caller falls back).
+        Only the changed sector's mW plane is rebuilt, and only inside
+        its window (:meth:`roi_window`); outside the window that plane
+        is exactly zero before and after.  The serving argmax is
+        repaired locally (a changed plane can only capture grids from
+        the old winner or release the grids it served), and the total
+        is re-summed over the swapped plane stack — *not* updated
+        incrementally — so every derived raster is bitwise identical
+        to :meth:`evaluate`.  A full-grid window computes a fresh
+        state.  A footprint window reuses the incumbent's arrays and
+        state outside the box: the stack is elementwise unchanged
+        there, the sequential order of :func:`_accumulate_planes`
+        makes the total decomposable, and the wins test and the
+        restricted argmax are no-ops outside.  Returns ``None`` when
+        the change is not a single-sector one (caller falls back).
         """
         changed = self.single_sector_change(incumbent, config)
         if changed is None:
@@ -280,122 +283,74 @@ class AnalysisEngine:
         registry.counter("magus.engine.delta_evaluations").inc()
         with registry.timer("magus.engine.evaluate").time():
             self._validate(config, ue_density)
-            box = None
-            if self.roi:
-                box = self.roi_window(incumbent, config, changed)
-                if box is not None and incumbent.state is None:
-                    box = None
-                if box is None:
-                    registry.counter("magus.engine.roi_fallbacks").inc()
-                else:
-                    registry.counter("magus.engine.roi_evaluations").inc()
-                    registry.counter(
-                        "magus.engine.roi_cells").inc(box_area(box))
-            if box is not None:
-                return self._evaluate_delta_windowed(
-                    incumbent, config, changed, box, ue_density)
-            new_row = self._sector_plane_mw(config, changed)
+            box = self.roi_window(incumbent, config, changed)
+            self._count_windows([box])
+            r0, r1, c0, c1 = box
+            win = (slice(r0, r1), slice(c0, c1))
             planes = incumbent.planes.copy()
-            planes[changed] = new_row
-            total_mw = _accumulate_planes(planes)
+            # The old row is zero outside the window (the window covers
+            # its footprint), so only the window needs overwriting.
+            new_row = planes[changed]
+            new_row[win] = self._sector_plane_mw(config, changed, box)
+            total_w = _accumulate_planes(planes, box)
 
-            serving0 = incumbent.raw_serving
-            best0 = incumbent.best_mw
+            s0 = incumbent.raw_serving[win]
+            b0 = incumbent.best_mw[win]
+            nr = new_row[win]
             # Grids served by someone else: the changed sector wins iff
             # it now beats the old best (first-index tie-break).
-            wins = (new_row > best0) | ((new_row == best0)
-                                        & (changed < serving0))
-            raw_serving = np.where(wins, np.int32(changed), serving0)
-            best_mw = np.where(wins, new_row, best0)
+            wins = (nr > b0) | ((nr == b0) & (changed < s0))
+            raw_w = np.where(wins, np.int32(changed), s0)
+            best_w = np.where(wins, nr, b0)
             # Grids the changed sector was serving: full (restricted)
             # argmax — its plane may have dropped below any competitor.
-            mask = serving0 == changed
+            mask = s0 == changed
             if mask.any():
-                sub = planes[:, mask]
+                sub = planes[:, r0:r1, c0:c1][:, mask]
                 sub_arg = sub.argmax(axis=0)
-                raw_serving[mask] = sub_arg.astype(np.int32)
-                best_mw[mask] = sub[sub_arg, np.arange(sub.shape[1])]
+                raw_w[mask] = sub_arg.astype(np.int32)
+                best_w[mask] = sub[sub_arg, np.arange(sub.shape[1])]
 
             new_incumbent = DeltaIncumbent(
-                config, planes, total_mw, raw_serving, best_mw,
+                config, planes,
+                self._patched(incumbent.total_mw, box, total_w),
+                self._patched(incumbent.raw_serving, box, raw_w),
+                self._patched(incumbent.best_mw, box, best_w),
                 self.pathloss.cache_epoch)
-            return self._finish(new_incumbent, ue_density), new_incumbent
-
-    def _evaluate_delta_windowed(
-            self, incumbent: DeltaIncumbent, config: Configuration,
-            changed: int, box: Box, ue_density: np.ndarray
-            ) -> Tuple[NetworkState, DeltaIncumbent]:
-        """The windowed delta body (bitwise identical to the dense one).
-
-        Outside ``box`` the changed sector's plane is exactly zero in
-        both configurations, so the stack is elementwise unchanged
-        there: the incumbent's total can be reused outside the window
-        (the sequential accumulation order of
-        :func:`_accumulate_planes` makes the total decomposable), the
-        wins test is provably a no-op, and cells of the restricted
-        argmax mask outside the box are all-zero columns whose argmax
-        reproduces their current serving entry.
-        """
-        r0, r1, c0, c1 = box
-        win = (slice(r0, r1), slice(c0, c1))
-        new_row = np.zeros(self.grid.shape, dtype=self.pathloss.plane_dtype)
-        new_row[win] = self._sector_plane_mw_window(config, changed, box)
-        planes = incumbent.planes.copy()
-        planes[changed] = new_row
-        total_mw = incumbent.total_mw.copy()
-        total_mw[win] = _accumulate_planes(planes, box)
-
-        serving0 = incumbent.raw_serving
-        best0 = incumbent.best_mw
-        raw_serving = serving0.copy()
-        best_mw = best0.copy()
-        nr, s0, b0 = new_row[win], serving0[win], best0[win]
-        wins = (nr > b0) | ((nr == b0) & (changed < s0))
-        raw_w = np.where(wins, np.int32(changed), s0)
-        best_w = np.where(wins, nr, b0)
-        mask = s0 == changed
-        if mask.any():
-            sub = planes[:, r0:r1, c0:c1][:, mask]
-            sub_arg = sub.argmax(axis=0)
-            raw_w[mask] = sub_arg.astype(np.int32)
-            best_w[mask] = sub[sub_arg, np.arange(sub.shape[1])]
-        raw_serving[win] = raw_w
-        best_mw[win] = best_w
-
-        new_incumbent = DeltaIncumbent(
-            config, planes, total_mw, raw_serving, best_mw,
-            self.pathloss.cache_epoch)
-        state = self._finish_windowed(new_incumbent, incumbent.state,
-                                      box, ue_density)
-        return state, new_incumbent
+            state = self._finish(new_incumbent, ue_density,
+                                 incumbent.state, box)
+            return state, new_incumbent
 
     # ------------------------------------------------------------------
     # region-of-influence windows
     # ------------------------------------------------------------------
     def roi_window(self, incumbent: DeltaIncumbent,
-                   config: Configuration,
-                   changed: int) -> Optional[Box]:
-        """The changed sector's region of influence, if exactly known.
+                   config: Configuration, changed: int) -> Box:
+        """The changed sector's window: every cell whose power can move.
 
-        The union of the sector's footprint under the incumbent and
-        candidate settings — every cell whose received power can move.
-        ``None`` (dense fallback) when either footprint is unknown
-        (no clip floor, rotated pattern) or the union exceeds
-        :attr:`roi_max_fraction` of the grid.
+        The union of the sector's footprints under the incumbent and
+        candidate settings when both are known; otherwise the full
+        grid (:attr:`full_window`) — an unclipped backend such as the
+        default ``dict`` one, a rotated pattern, or ``roi=False``.
         """
-        old_box = self._setting_footprint(
-            changed, incumbent.config.settings[changed])
-        if old_box is None:
-            return None
-        new_box = self._setting_footprint(changed,
-                                          config.settings[changed])
-        if new_box is None:
-            return None
-        box = box_union(old_box, new_box)
-        rows, cols = self.grid.shape
-        if box_area(box) > self.roi_max_fraction * rows * cols:
-            return None
-        return box
+        if self.roi:
+            old_box = self._setting_footprint(
+                changed, incumbent.config.settings[changed])
+            new_box = self._setting_footprint(changed,
+                                              config.settings[changed])
+            if old_box is not None and new_box is not None:
+                return box_union(old_box, new_box)
+        return self.full_window
+
+    def _count_windows(self, boxes: Sequence[Box]) -> None:
+        """Window accounting for the run report's ``roi:`` section:
+        ``roi_cells / (roi_evaluations * grid_cells)`` is the mean
+        share of the grid a window covered."""
+        registry = get_registry()
+        registry.counter("magus.engine.roi_evaluations").inc(len(boxes))
+        registry.counter("magus.engine.roi_cells").inc(
+            sum(box_area(box) for box in boxes))
+        registry.gauge("magus.engine.grid_cells").set(self.grid.n_cells)
 
     def _setting_footprint(self, sector_id: int,
                            setting) -> Optional[Box]:
@@ -491,64 +446,44 @@ class AnalysisEngine:
         return DeltaIncumbent(config, planes, total_mw, raw_serving,
                               best_mw, self.pathloss.cache_epoch)
 
-    def _finish(self, incumbent: DeltaIncumbent,
-                ue_density: np.ndarray) -> NetworkState:
-        """Formulae 2-4 from the prepared linear-domain arrays."""
-        total_mw = incumbent.total_mw
-        best_mw = incumbent.best_mw
-        raw_serving = incumbent.raw_serving
-        sinr_db, rp_best_dbm, interference_dbm = self._radio_rasters(
-            total_mw, best_mw)
-        rmax = self.link.max_rate_bps(sinr_db)
-        # The RSRP-style floor, compared in the linear domain.
-        rmax = np.where(best_mw >= _dbm_to_mw_scalar(self.min_rp_dbm),
-                        rmax, 0.0)
-        serving = np.where(rmax > 0.0, raw_serving, NO_SERVICE)
-        n_ue = self._shared_load(serving, ue_density)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rate = np.where(n_ue > 0, rmax / np.maximum(n_ue, 1e-12), rmax)
-        state = NetworkState(
-            grid=self.grid, config=incumbent.config, serving=serving,
-            rp_best_dbm=rp_best_dbm, interference_dbm=interference_dbm,
-            sinr_db=sinr_db, max_rate_bps=rmax, n_ue=n_ue,
-            rate_bps=rate, ue_density=np.asarray(ue_density, dtype=float),
-            raw_serving=raw_serving)
-        incumbent.state = state
-        return state
+    def _finish(self, incumbent: DeltaIncumbent, ue_density: np.ndarray,
+                prev: Optional[NetworkState] = None,
+                box: Optional[Box] = None) -> NetworkState:
+        """Formulae 2-4 from the prepared linear-domain arrays.
 
-    def _finish_windowed(self, incumbent: DeltaIncumbent,
-                         state0: NetworkState, box: Box,
-                         ue_density: np.ndarray) -> NetworkState:
-        """Formulae 2-4 recomputed only inside ``box``.
-
-        The dB rasters and the single-user rate are elementwise in
-        ``total_mw``/``best_mw``, which are untouched outside the box,
-        so the previous state's values are bitwise reusable there.
-        Loads and shared rates couple globally through Formula 3 and
-        are rebuilt over the whole grid (cheap, non-transcendental).
+        Without ``prev`` (or with a full-grid ``box``) every raster is
+        computed over the whole grid.  With ``prev`` — the state of an
+        incumbent whose arrays agree with these outside ``box`` — only
+        the window is recomputed:
+        the dB rasters and the single-user rate are elementwise in
+        ``total_mw``/``best_mw``, so ``prev``'s values are bitwise
+        reusable outside it.  Loads and shared rates couple globally
+        through Formula 3 and are rebuilt over the whole grid (cheap,
+        non-transcendental).
         """
+        if prev is None:
+            box = self.full_window
         r0, r1, c0, c1 = box
         win = (slice(r0, r1), slice(c0, c1))
-        total_mw = incumbent.total_mw
-        best_mw = incumbent.best_mw
-        raw_serving = incumbent.raw_serving
-        sinr_db = state0.sinr_db.copy()
-        rp_best_dbm = state0.rp_best_dbm.copy()
-        interference_dbm = state0.interference_dbm.copy()
-        sinr_w, rp_w, itf_w = self._radio_rasters(total_mw[win],
-                                                  best_mw[win])
-        sinr_db[win] = sinr_w
-        rp_best_dbm[win] = rp_w
-        interference_dbm[win] = itf_w
-        rmax = state0.max_rate_bps.copy()
+        best_w = incumbent.best_mw[win]
+        sinr_w, rp_w, itf_w = self._radio_rasters(incumbent.total_mw[win],
+                                                  best_w)
         rmax_w = self.link.max_rate_bps(sinr_w)
-        rmax_w = np.where(
-            best_mw[win] >= _dbm_to_mw_scalar(self.min_rp_dbm),
-            rmax_w, 0.0)
-        rmax[win] = rmax_w
-        serving = state0.serving.copy()
-        serving[win] = np.where(rmax_w > 0.0, raw_serving[win],
-                                NO_SERVICE)
+        # The RSRP-style floor, compared in the linear domain.
+        rmax_w = np.where(best_w >= _dbm_to_mw_scalar(self.min_rp_dbm),
+                          rmax_w, 0.0)
+        serving_w = np.where(rmax_w > 0.0, incumbent.raw_serving[win],
+                             NO_SERVICE)
+        if prev is None:
+            sinr_db, rp_best_dbm, interference_dbm = sinr_w, rp_w, itf_w
+            rmax, serving = rmax_w, serving_w
+        else:
+            sinr_db = self._patched(prev.sinr_db, box, sinr_w)
+            rp_best_dbm = self._patched(prev.rp_best_dbm, box, rp_w)
+            interference_dbm = self._patched(prev.interference_dbm, box,
+                                             itf_w)
+            rmax = self._patched(prev.max_rate_bps, box, rmax_w)
+            serving = self._patched(prev.serving, box, serving_w)
         n_ue = self._shared_load(serving, ue_density)
         with np.errstate(divide="ignore", invalid="ignore"):
             rate = np.where(n_ue > 0, rmax / np.maximum(n_ue, 1e-12), rmax)
@@ -557,9 +492,20 @@ class AnalysisEngine:
             rp_best_dbm=rp_best_dbm, interference_dbm=interference_dbm,
             sinr_db=sinr_db, max_rate_bps=rmax, n_ue=n_ue,
             rate_bps=rate, ue_density=np.asarray(ue_density, dtype=float),
-            raw_serving=raw_serving)
+            raw_serving=incumbent.raw_serving)
         incumbent.state = state
         return state
+
+    def _patched(self, base: np.ndarray, box: Box,
+                 window: np.ndarray) -> np.ndarray:
+        """``base`` with ``window`` written over ``box`` (a new array;
+        a full-grid window is returned as is)."""
+        if box == self.full_window:
+            return window
+        r0, r1, c0, c1 = box
+        out = base.copy()
+        out[r0:r1, c0:c1] = window
+        return out
 
     def _radio_rasters(self, total_mw: np.ndarray, best_mw: np.ndarray):
         """Formula 2 rasters (dB domain) from linear power planes."""
@@ -608,41 +554,26 @@ class AnalysisEngine:
                                                      copy=False)
         return gains_mw * factors[:, None, None]
 
-    def _sector_plane_mw(self, config: Configuration,
-                         sector_id: int) -> np.ndarray:
-        """One sector's linear received-power plane.
+    def _sector_plane_mw(self, config: Configuration, sector_id: int,
+                         box: Optional[Box] = None) -> np.ndarray:
+        """One sector's linear received-power plane, over ``box``
+        (default: the full grid).
 
         Bitwise identical to row ``sector_id`` of :meth:`_planes_mw`
-        (same factor, same cached gain row, same multiply).
+        restricted to ``box``: the same cached gain row is sliced
+        before the same scalar multiply, and an elementwise product
+        commutes with slicing.
         """
-        setting = config.settings[sector_id]
-        if not setting.active:
-            return np.zeros(self.grid.shape,
-                            dtype=self.pathloss.plane_dtype)
-        gain_mw = self.pathloss.gain_matrix_mw(
-            sector_id, setting.tilt_deg, setting.azimuth_offset_deg)
-        # Index the vectorized factor computation rather than applying
-        # scalar ``**``: both paths must round identically (cast to the
-        # plane dtype first, for the same parity reason as _planes_mw).
-        factors = self._power_factors(config).astype(gain_mw.dtype,
-                                                     copy=False)
-        return gain_mw * factors[sector_id]
-
-    def _sector_plane_mw_window(self, config: Configuration,
-                                sector_id: int, box: Box) -> np.ndarray:
-        """One sector's plane restricted to ``box``.
-
-        Bitwise identical to ``_sector_plane_mw(...)[box]``: the same
-        cached gain row is sliced before the same scalar multiply, and
-        an elementwise product commutes with slicing.
-        """
-        r0, r1, c0, c1 = box
+        r0, r1, c0, c1 = self.full_window if box is None else box
         setting = config.settings[sector_id]
         if not setting.active:
             return np.zeros((r1 - r0, c1 - c0),
                             dtype=self.pathloss.plane_dtype)
         gain_mw = self.pathloss.gain_matrix_mw(
             sector_id, setting.tilt_deg, setting.azimuth_offset_deg)
+        # Index the vectorized factor computation rather than applying
+        # scalar ``**``: both paths must round identically (cast to the
+        # plane dtype first, for the same parity reason as _planes_mw).
         factors = self._power_factors(config).astype(gain_mw.dtype,
                                                      copy=False)
         return gain_mw[r0:r1, c0:c1] * factors[sector_id]

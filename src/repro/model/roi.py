@@ -1,12 +1,15 @@
-"""Sparse region-of-influence (ROI) candidate scoring.
+"""Windowed candidate scoring: the one single-sector scoring kernel.
 
-A sector's gain plane is exactly zero outside its footprint bounding
-box once the pack/build-time ``clip_floor_db`` has zeroed negligible
-gains at the f64->f32 quantization point (see
-:func:`~repro.model.pathloss.clip_gains_mw`).  A single-sector change
-can therefore perturb received power only inside the union of the old
-and new settings' footprints — the candidate's ROI window — and every
-raster outside that window is *bitwise* unchanged.
+A single-sector change can move received power only inside the
+candidate's *window* (:meth:`~repro.model.engine.AnalysisEngine.roi_window`):
+the union of the changed sector's old and new footprint boxes when the
+backend stores them, the full grid otherwise.  A sector's gain plane
+is exactly zero outside its footprint once the pack/build-time
+``clip_floor_db`` has zeroed negligible gains at the f64->f32
+quantization point (see :func:`~repro.model.pathloss.clip_gains_mw`),
+so every raster outside a footprint window is *bitwise* unchanged.  On
+the default unclipped backend every window is the full grid, and the
+same kernel is simply the dense computation.
 
 The subtlety is Formula 3: serving flips inside the window change the
 per-sector UE loads, which changes the shared rate at cells *outside*
@@ -18,10 +21,11 @@ division — no transcendentals), then recomputes the per-UE utility
 term only at cells whose rate actually changed, reusing the baseline's
 cached ``per_ue(rate)*density`` raster everywhere else.  Because
 ``per_ue`` is elementwise-pure and the final reduction runs over the
-same contiguous full-grid layout as the dense batch path, the returned
-utility is bitwise identical to
-``Evaluator._batch_utilities(engine.evaluate_batch(...))`` — at
-O(|ROI| + |rate-changed|) transcendental cost instead of O(H*W).
+same contiguous full-grid layout as a per-candidate reduction of
+:meth:`~repro.model.engine.AnalysisEngine.evaluate_batch`, the
+returned utility is bitwise identical to that reduction (and to the
+utility of :meth:`~repro.model.engine.AnalysisEngine.evaluate`) — at
+O(|window| + |rate-changed|) transcendental cost instead of O(H*W).
 
 The exactness argument (including why windowed totals must not re-sum
 a sliced plane stack) is laid out in DESIGN.md, "Sparse ROI
@@ -116,7 +120,8 @@ class RoiBaseline:
         """Build from a finished incumbent, or ``None`` without one.
 
         Worker-attached incumbents carry no :attr:`state` (they never
-        ran ``_finish``); the caller falls back to dense scoring.
+        ran ``_finish``); workers rebuild baselines with
+        :meth:`from_arrays` instead.
         """
         state = getattr(incumbent, "state", None)
         if state is None:
@@ -147,21 +152,21 @@ class RoiBaseline:
 def score_candidate(engine, baseline: RoiBaseline,
                     config: Configuration, changed: int, box: Box,
                     ue_density: np.ndarray, utility) -> float:
-    """Utility of one single-sector candidate via its ROI window.
+    """Utility of one single-sector candidate via its window.
 
     Bitwise identical to scoring ``config`` through
     ``engine.evaluate_batch`` + the per-candidate weighted reduction.
     ``changed`` is the one sector ``config`` flips vs.
-    ``baseline.config``; ``box`` is the union of that sector's old and
-    new footprints (so both plane rows are exactly zero outside it).
+    ``baseline.config``; ``box`` is its window from
+    ``engine.roi_window`` (both plane rows are exactly zero outside
+    it; the full grid when footprints are unknown).
     """
     r0, r1, c0, c1 = box
     win = (slice(r0, r1), slice(c0, c1))
-    new_w = engine._sector_plane_mw_window(config, changed, box)
+    new_w = engine._sector_plane_mw(config, changed, box)
     cached = baseline.window_cache.get((changed, box))
     if cached is None:
-        old_w = engine._sector_plane_mw_window(baseline.config,
-                                               changed, box)
+        old_w = engine._sector_plane_mw(baseline.config, changed, box)
         s0 = baseline.raw_serving[win]
         # Comparator per grid, exactly as evaluate_batch: the
         # runner-up where the changed sector already serves, the
@@ -194,10 +199,8 @@ def score_candidate(engine, baseline: RoiBaseline,
     # the window (a serving flip changes the shared rate of every
     # cell on the affected sectors), so loads and rates are rebuilt
     # over the whole grid — cheap passes only, no transcendentals.
-    serving_k = baseline.serving.copy()
-    serving_k[win] = serving_w
-    rmax_k = baseline.max_rate_bps.copy()
-    rmax_k[win] = rmax_w
+    serving_k = engine._patched(baseline.serving, box, serving_w)
+    rmax_k = engine._patched(baseline.max_rate_bps, box, rmax_w)
     n_ue = engine._shared_load(serving_k, ue_density)
     with np.errstate(divide="ignore", invalid="ignore"):
         rate_k = np.where(n_ue > 0, rmax_k / np.maximum(n_ue, 1e-12),

@@ -236,22 +236,25 @@ class RunReport:
         return out
 
     def roi_metrics(self) -> Dict[str, object]:
-        """Region-of-influence counters, if windowed scoring ran.
+        """Window counters, if the windowed kernel ran.
 
-        ``magus.engine.roi_evaluations`` / ``roi_cells`` /
-        ``roi_fallbacks`` expose how many candidates took the sparse
-        window path and how much of the grid it actually touched
-        (``roi_cells / (roi_evaluations * H * W)`` is the mean window
-        fraction); empty under ``--no-roi`` or a backend without
-        footprints, keeping dense reports unchanged.
+        ``magus.engine.roi_evaluations`` / ``roi_cells`` count the
+        windows and the cells they covered; ``mean_window_share`` is
+        ``roi_cells / (roi_evaluations * grid_cells)`` — 1.0 when every
+        window was the full grid (the default unclipped backend, or
+        ``--no-roi``).  Empty when no window ran (``--no-delta``).
         """
         out: Dict[str, object] = {}
         for name in ("magus.engine.roi_evaluations",
-                     "magus.engine.roi_cells",
-                     "magus.engine.roi_fallbacks"):
+                     "magus.engine.roi_cells"):
             stats = self.metrics.get(name)
             if stats is not None:
                 out[name] = stats.get("value")
+        windows = out.get("magus.engine.roi_evaluations")
+        grid = self.metrics.get("magus.engine.grid_cells", {}).get("value")
+        if windows and grid:
+            out["mean_window_share"] = (
+                out.get("magus.engine.roi_cells", 0) / (windows * grid))
         return out
 
     def parallel_metrics(self) -> Dict[str, object]:

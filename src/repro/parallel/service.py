@@ -5,13 +5,18 @@ out across a pool of worker processes.  Design constraints, in order:
 
 1. **Bitwise identity with the serial path.**  Chunks are fixed by a
    deterministic partition of the candidate list, each candidate's
-   utility is reduced over its own raster inside the worker (exactly
-   ``Evaluator._batch_utilities``), and results are reassembled in
-   candidate order — so neither the chunking nor completion order can
-   perturb a single bit.  Winner confirmation stays canonical in the
+   utility is reduced over its own raster inside the worker, and
+   results are reassembled in candidate order — so neither the
+   chunking nor completion order can perturb a single bit.  Footprint
+   windows run the serial kernel itself
+   (:func:`repro.model.roi.score_candidate`, :meth:`score_batch_roi`);
+   full-grid windows run :meth:`AnalysisEngine.evaluate_batch` plus a
+   per-candidate reduction (:meth:`score_batch`), which the kernel
+   matches bitwise.  Winner confirmation stays canonical in the
    caller.
-2. **Zero-copy inputs.**  The incumbent's mW planes are exported once
-   per anchor through a :class:`~repro.parallel.shm.SharedPlaneStore`;
+2. **Zero-copy inputs.**  The incumbent's mW planes (or, for footprint
+   windows, its nine ROI baseline rasters) are exported once per
+   anchor through a :class:`~repro.parallel.shm.SharedPlaneStore`;
    tasks carry only array *handles* plus compact ``(sector, setting)``
    moves.  Under the ``fork`` start method the engine itself (path-
    loss rasters included) is inherited copy-on-write at pool start.
@@ -33,7 +38,7 @@ out across a pool of worker processes.  Design constraints, in order:
    counters (rendered in the run report's ``parallel:`` section).
    Batches below ``min_parallel_batch``, a single-worker service, a
    daemonic caller or a stale path-loss epoch still return ``None`` —
-   the caller's serial delta path answers instead, with identical
+   the caller's serial kernel answers instead, with identical
    results.
 
 The service is a context manager; :meth:`close` terminates the pool
@@ -47,6 +52,7 @@ import math
 import multiprocessing
 import os
 import time
+from multiprocessing import resource_tracker
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -154,7 +160,7 @@ class EvaluationService:
             else None
         # Capacity 4: up to two incumbents, each potentially exported
         # twice (dense plane stack + ROI baseline rasters) when a
-        # batch mixes windowed and fallback candidates.
+        # batch mixes footprint and full-grid windows.
         self._store = SharedPlaneStore(capacity=4, spill_bytes=spill)
 
     # ------------------------------------------------------------------
@@ -210,6 +216,11 @@ class EvaluationService:
                                     ue_density=self.ue_density,
                                     utility=self.utility,
                                     chaos=self.chaos)
+        # Workers must share this process's resource tracker, so that
+        # their shared-memory attaches land in the owner's registry
+        # (see shm.attach_block) instead of starting trackers that
+        # would unlink live blocks when a worker exits.
+        resource_tracker.ensure_running()
         if "fork" in methods:
             ctx = multiprocessing.get_context("fork")
             # Children inherit the engine (path-loss rasters included)
@@ -242,9 +253,10 @@ class EvaluationService:
 
         Returns ``None`` whenever the serial path should answer
         instead: batch below the threshold, unusable pool, stale
-        incumbent, or any worker-side refusal/failure.  On success the
-        values are bitwise identical to
-        ``Evaluator._batch_utilities(engine.evaluate_batch(...))``.
+        incumbent, or any worker-side refusal/failure.  On success each
+        value is the per-candidate reduction of
+        ``engine.evaluate_batch(...)`` — bitwise identical to the
+        serial kernel with a full-grid window.
         """
         k = len(configs)
         if k == 0:
@@ -306,8 +318,8 @@ class EvaluationService:
         scores: List[float] = []
         for part in ordered:
             scores.extend(part)
-        # Keep the engine-level accounting identical to a serial
-        # batched pass (workers count into their own forked copies).
+        # Keep the engine-level accounting identical to an in-process
+        # evaluate_batch (workers count into their own forked copies).
         self.engine._eval_counter.inc(k)
         registry = get_registry()
         registry.counter("magus.engine.evaluations").inc(k)
@@ -320,8 +332,8 @@ class EvaluationService:
                         ) -> Optional[List[float]]:
         """Windowed utilities for single-sector ``configs``.
 
-        ``windows`` pairs each config with its ``(changed, box)`` ROI
-        as resolved by ``AnalysisEngine.roi_window``.  The pool chunks
+        ``windows`` pairs each config with its ``(changed, box)``
+        window as resolved by ``AnalysisEngine.roi_window``.  The pool chunks
         the candidates exactly like :meth:`score_batch` but ships the
         baseline's nine (H, W) rasters instead of the (S, H, W) plane
         stack.  Returns ``None`` for the same serial-fallback reasons
@@ -385,14 +397,11 @@ class EvaluationService:
         scores: List[float] = []
         for part in ordered:
             scores.extend(part)
-        # Same parent-side accounting as the serial ROI path (workers
+        # Same parent-side accounting as the serial kernel (workers
         # count into their own forked registries).
         self.engine._eval_counter.inc(k)
-        registry = get_registry()
-        registry.counter("magus.engine.evaluations").inc(k)
-        registry.counter("magus.engine.roi_evaluations").inc(k)
-        registry.counter("magus.engine.roi_cells").inc(
-            sum(_roi.box_area(box) for box in boxes))
+        get_registry().counter("magus.engine.evaluations").inc(k)
+        self.engine._count_windows(boxes)
         return scores
 
     def _encode_moves(self, base_config: Configuration,

@@ -106,26 +106,21 @@ class _SpillFile:
 def attach_block(name: str) -> shared_memory.SharedMemory:
     """Attach to an existing block without adopting its lifetime.
 
-    On CPython < 3.13 attaching registers the segment with the
-    process-wide resource tracker, which then unlinks it when *any*
-    attaching process exits — destroying a block the owner is still
-    using and spamming "leaked shared_memory" warnings.  We unregister
-    immediately after attaching: the creating process (the
-    :class:`SharedPlaneStore`) is the single owner responsible for
-    unlinking.
+    The creating process (the :class:`SharedPlaneStore`) is the single
+    owner responsible for unlinking.  Python 3.13+ attaches untracked.
+    Before 3.13 attaching registers the segment with the resource
+    tracker; that is harmless for pool workers, which share the
+    owner's tracker (the service starts it before forking): its
+    registry is a set, so the attach adds nothing.  The attach must
+    not unregister either — that would drop the *owner's* entry, and
+    the owner's ``unlink()`` then makes the tracker print a
+    ``KeyError`` traceback.
     """
     try:
         return shared_memory.SharedMemory(name=name, create=False,
                                           track=False)
     except TypeError:          # Python < 3.13: no ``track`` parameter
-        shm = shared_memory.SharedMemory(name=name, create=False)
-        try:
-            from multiprocessing import resource_tracker
-            resource_tracker.unregister(shm._name,      # noqa: SLF001
-                                        "shared_memory")
-        except Exception:      # pragma: no cover — best-effort
-            pass
-        return shm
+        return shared_memory.SharedMemory(name=name, create=False)
 
 
 def attach_handle_block(

@@ -8,14 +8,16 @@ with :mod:`repro.parallel.service`:
   :data:`_SWEEP_STATE`) **before** creating the pool, so ``fork``
   children inherit the engine / planner copy-on-write — no pickling;
   under ``spawn`` the same payload arrives through the initializer;
-* a :class:`ScoreTask` carries only the incumbent's *handles* into
-  shared memory plus compact single-sector moves; the worker maps the
-  planes once per incumbent (cached by block name) and scores its
-  chunk with the standard :meth:`AnalysisEngine.evaluate_batch`;
-* utilities are reduced in-worker exactly as
-  ``Evaluator._batch_utilities`` does — per-candidate sums over the
-  candidate's own raster — so the returned floats are bitwise
-  identical to the serial batched path regardless of chunking.
+* a :class:`ScoreTask` (full-grid windows) carries only the
+  incumbent's *handles* into shared memory plus compact single-sector
+  moves; the worker maps the planes once per incumbent (cached by
+  block name) and scores its chunk with the standard
+  :meth:`AnalysisEngine.evaluate_batch`, reducing each candidate's
+  utility over its own raster — bitwise identical to the serial
+  windowed kernel, regardless of chunking;
+* a :class:`RoiScoreTask` (footprint windows) carries the baseline's
+  raster handles plus each move's window, and runs the serial kernel
+  :func:`repro.model.roi.score_candidate` itself.
 """
 
 from __future__ import annotations
@@ -174,8 +176,8 @@ def _score_roi_chunk(task: RoiScoreTask
     """Score one windowed candidate chunk.
 
     The per-candidate loop runs :func:`repro.model.roi.score_candidate`
-    — the same function the serial ROI path and the parent-side
-    quarantine rescue use, so chunk placement cannot perturb a bit.
+    — the same kernel the serial path and the parent-side quarantine
+    rescue use, so chunk placement cannot perturb a bit.
     """
     t0 = time.perf_counter_ns()
     state = _STATE
@@ -231,9 +233,9 @@ def _score_chunk(task: ScoreTask
         batch = state.engine.evaluate_batch(incumbent, configs,
                                             state.ue_density)
         if batch is not None:
-            # Identical reduction to Evaluator._batch_utilities: each
-            # candidate's utility is summed over its own raster only,
-            # so chunk boundaries cannot perturb the result.
+            # Each candidate's utility is summed over its own raster
+            # only (the serial kernel's reduction), so chunk
+            # boundaries cannot perturb the result.
             values = (state.utility.per_ue(batch.rate_bps)
                       * state.ue_density)
             sums = values.reshape(values.shape[0], -1).sum(axis=1)

@@ -404,6 +404,7 @@ class TestRoiCli:
 
     def test_mitigate_no_roi_report(self, capsys, monkeypatch, tmp_path):
         import json
+        from repro.obs import RunReport
         from repro.synthetic import market
         from conftest import SMALL_DIMS
         monkeypatch.setattr(market.AreaDimensions, "for_area",
@@ -413,4 +414,7 @@ class TestRoiCli:
                      "--no-roi", "--metrics-out", str(path)]) == 0
         data = json.loads(path.read_text())
         assert data["meta"]["roi"] is False
-        assert not any("roi" in name for name in data["metrics"])
+        # Every window is the full grid: the mean window share is 1.
+        assert "magus.engine.roi_fallbacks" not in data["metrics"]
+        report = RunReport.from_json(path.read_text())
+        assert report.roi_metrics()["mean_window_share"] == 1.0

@@ -23,6 +23,7 @@ from repro.model.load import uniform_per_sector_density
 from repro.model.network import CellularNetwork
 from repro.model.pathloss import PathLossDatabase
 from repro.model.propagation import Environment
+from repro.model.roi import EMPTY_BOX
 from repro.model.snapshot import NO_SERVICE
 
 from conftest import make_sectors
@@ -72,6 +73,15 @@ def _apply_move(network: CellularNetwork, config, move):
     return config.with_online([sector])
 
 
+def _expected_window(engine, incumbent, config, changed):
+    """The window on an unclipped backend: the full grid, except for a
+    sector that stays off-air (it radiates nowhere, before or after)."""
+    if not (incumbent.config.is_active(changed)
+            or config.is_active(changed)):
+        return EMPTY_BOX
+    return engine.full_window
+
+
 class TestDeltaParity:
     """evaluate_delta == evaluate, bitwise, along perturbation chains."""
 
@@ -96,6 +106,30 @@ class TestDeltaParity:
                 delta_state, incumbent = result
                 _assert_states_equal(delta_state, full)
             config = new_config
+
+    def test_every_move_takes_full_grid_window(self, toy_engine,
+                                               toy_network, toy_density):
+        """The default unclipped backend has no footprints: every
+        single-sector move — power, tilt, off-air, on-air, azimuth —
+        takes the full-grid window (a fresh state), except that a
+        sector staying off-air has an empty one."""
+        base = toy_network.planned_configuration()
+        for start in (base, base.with_offline([1])):
+            _, incumbent = toy_engine.evaluate_with_incumbent(start,
+                                                              toy_density)
+            for kind in ("power", "tilt", "toggle", "azimuth"):
+                for sector in range(toy_network.n_sectors):
+                    config = _apply_move(toy_network, start,
+                                         (kind, sector, -3.0))
+                    if config == start:
+                        continue
+                    assert (toy_engine.roi_window(incumbent, config, sector)
+                            == _expected_window(toy_engine, incumbent,
+                                                config, sector))
+                    state, _ = toy_engine.evaluate_delta(
+                        incumbent, config, toy_density)
+                    _assert_states_equal(
+                        state, toy_engine.evaluate(config, toy_density))
 
     def test_off_air_to_on_air(self, toy_engine, toy_network, toy_density):
         base = toy_network.planned_configuration().with_offline([1])
@@ -166,6 +200,42 @@ class TestBatchParity:
             assert np.allclose(batch.sinr_db[k], full.sinr_db,
                                rtol=1e-10, atol=0.0)
 
+    @settings(max_examples=20, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(moves=_MOVES)
+    def test_full_grid_kernel_matches_batch(self, moves, toy_engine,
+                                            toy_network, toy_density):
+        """The windowed kernel at the full-grid window (the only window
+        on this unclipped backend) == evaluate_batch's per-candidate
+        reduction == evaluate, bitwise, from any reachable incumbent."""
+        from repro.model.roi import RoiBaseline, score_candidate
+        config = toy_network.planned_configuration()
+        for move in moves[:-1]:
+            config = _apply_move(toy_network, config, move)
+        _, incumbent = toy_engine.evaluate_with_incumbent(config,
+                                                          toy_density)
+        baseline = RoiBaseline.from_incumbent(incumbent, _UTILITY,
+                                              toy_density)
+        candidates = [c for c in dict.fromkeys(
+            _apply_move(toy_network, config, (kind, sector, value))
+            for kind, sector, value in moves
+            for kind in ("power", "tilt", "toggle", "azimuth"))
+            if c != config]
+        batch = toy_engine.evaluate_batch(incumbent, candidates,
+                                          toy_density)
+        reduced = (_UTILITY.per_ue(batch.rate_bps) * toy_density).reshape(
+            len(candidates), -1).sum(axis=1)
+        for k, candidate in enumerate(candidates):
+            changed = toy_engine.single_sector_change(incumbent, candidate)
+            window = toy_engine.roi_window(incumbent, candidate, changed)
+            assert window == _expected_window(toy_engine, incumbent,
+                                              candidate, changed)
+            score = score_candidate(toy_engine, baseline, candidate,
+                                    changed, window, toy_density, _UTILITY)
+            assert score == float(reduced[k])
+            assert score == _UTILITY.evaluate(
+                toy_engine.evaluate(candidate, toy_density))
+
     def test_batch_rejects_multi_sector_candidates(self, toy_engine,
                                                    toy_network,
                                                    toy_density):
@@ -222,7 +292,9 @@ class TestEvaluatorStrategies:
         base = toy_network.planned_configuration()
         evaluator.utility_of(base)          # anchor the incumbent
         candidates = [base.with_power(0, 38.0), base.with_power(1, 33.0),
-                      base.with_tilt(2, 6.0), base.with_offline([1])]
+                      base.with_tilt(2, 6.0), base.with_offline([1]),
+                      base.with_azimuth_offset(0, 15.0),
+                      base.with_tilt(0, 0.0).with_power(0, 41.0)]
         scores = evaluator.score_candidates(candidates)
         reference = Evaluator(toy_engine, toy_density, "performance",
                               strategy="full")

@@ -13,11 +13,15 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import subprocess
+import sys
+import textwrap
 import threading
 
 import numpy as np
 import pytest
 
+import repro
 from repro.core.evaluation import Evaluator
 from repro.core.utility import PerformanceUtility
 from repro.obs import MetricsRegistry, set_registry
@@ -261,6 +265,39 @@ class TestEvaluationService:
                                            (-1.0, 1.0, 2.0)))
         evaluator.close()
         assert multiprocessing.active_children() == []
+
+    def test_pool_close_prints_nothing(self):
+        """Pool shutdown leaves stderr empty (no resource-tracker
+        ``KeyError`` tracebacks, no leaked-segment warnings).  The
+        second pool forks after the tracker is already running, which
+        is when workers share the owner's tracker."""
+        script = textwrap.dedent("""
+            from repro.core.evaluation import Evaluator
+            from repro.synthetic.market import AreaDimensions, build_area
+            from repro.synthetic.placement import AreaType
+
+            area = build_area(AreaType.SUBURBAN, seed=42,
+                              dims=AreaDimensions(tuning_side_m=1_600.0,
+                                                  margin_m=800.0,
+                                                  cell_size_m=200.0))
+            base = area.c_before
+            ladder = [base.with_power(s, base.power_dbm(s) - d)
+                      for s in range(area.network.n_sectors)
+                      if base.is_active(s) for d in (1.0, 2.0)]
+            for _ in range(2):
+                with Evaluator(area.engine, area.ue_density,
+                               "performance", strategy="parallel",
+                               workers=2, min_parallel_batch=2) as ev:
+                    ev.utility_of(base)
+                    ev.score_candidates(ladder)
+                    assert ev._service.running
+            """)
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
 
     def test_executor_fallback_closes_pool(self, toy_network,
                                            toy_engine, toy_density):

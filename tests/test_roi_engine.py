@@ -1,13 +1,14 @@
-"""Sparse region-of-influence evaluation (PR 10).
+"""Windowed evaluation: the one single-sector scoring kernel.
 
 The windowed engine's contract is *bitwise* agreement with the dense
 path: footprint boxes bound exactly the nonzero gain cells, and every
-scoring route — delta snapshots, batched candidate scoring, the
-process pool — produces identical floats with ROI windows on or off.
-The property tests below drive random perturbation chains through a
-clipped backend (floor high enough that windows are genuinely small on
-the toy grid) and through every fallback trigger (unclipped dicts,
-azimuth offsets, full-grid footprints, custom utilities).
+scoring route — delta snapshots, candidate scoring, the process pool —
+produces identical floats whatever the window.  The property tests
+below drive random perturbation chains through a clipped backend
+(floor high enough that windows are genuinely small on the toy grid)
+and through every case whose window is the full grid (unclipped
+dicts, azimuth offsets, full-grid footprints, ``roi=False``), on
+float64 dict and float32 packed backends.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from repro.model.pathloss import (DEFAULT_CLIP_FLOOR_DB, PathLossDatabase,
 from repro.model.plossdb import load_packed, save_packed
 from repro.model.propagation import Environment
 from repro.model.roi import (EMPTY_BOX, RoiBaseline, box_area,
-                             box_is_empty, box_union)
+                             box_is_empty, box_union, score_candidate)
 from repro.obs import MetricsRegistry, set_registry
 from repro.obs.report import RunReport
 
@@ -196,15 +197,20 @@ class TestRoiDeltaParity:
 
     def test_azimuth_move_falls_back_correctly(self, registry, roi_engine,
                                                toy_network, density):
-        """Rotated patterns have no stored box — dense path, same result."""
+        """Rotated patterns have no stored box: the full-grid window,
+        same result."""
         base = toy_network.planned_configuration()
         _, incumbent = roi_engine.evaluate_with_incumbent(base, density)
         turned = base.with_azimuth_offset(1, 10.0)
+        assert (roi_engine.roi_window(incumbent, turned, 1)
+                == roi_engine.full_window)
         state, _ = roi_engine.evaluate_delta(incumbent, turned, density)
         _assert_states_equal(state, roi_engine.evaluate(turned, density))
         snap = registry.snapshot()
-        assert snap["magus.engine.roi_fallbacks"]["value"] == 1
-        assert "magus.engine.roi_evaluations" not in snap
+        H, W = roi_engine.grid.shape
+        assert snap["magus.engine.roi_evaluations"]["value"] == 1
+        assert snap["magus.engine.roi_cells"]["value"] == H * W
+        assert "magus.engine.roi_fallbacks" not in snap
 
 
 # ----------------------------------------------------------------------
@@ -300,6 +306,141 @@ class TestRoiScoreParity:
 
 
 # ----------------------------------------------------------------------
+#: Backends for the kernel parity matrix: ``(name, clip floor, packed)``.
+#: -110 dB gives small windows on the toy grid; -125 dB gives windows
+#: between half the grid and all of it.
+_BACKENDS = [("dict-f64", None, False),
+             ("dict-f64-clip110", -110.0, False),
+             ("dict-f64-clip125", -125.0, False),
+             ("packed-f32", None, True),
+             ("packed-f32-clip125", -125.0, True)]
+
+
+def _backend(name, floor, packed, toy_grid, toy_network, tmp_path):
+    db = PathLossDatabase.from_environment(
+        toy_network, Environment.flat(toy_grid),
+        shadowing_sigma_db=0.0, seed=0, clip_floor_db=floor)
+    if packed:
+        path = str(tmp_path / f"{name}.plossdb")
+        save_packed(db, path)
+        db = load_packed(path)
+        assert db.plane_dtype == np.float32
+    return db
+
+
+def _move_fan(network, base):
+    """Power (down and up), tilt (up and down), off-air, on-air and
+    azimuth-offset moves of every sector, all single-sector."""
+    out = []
+    for s in range(network.n_sectors):
+        spec = network.sector(s)
+        if not base.is_active(s):
+            out.append(base.with_online([s]))
+            continue
+        power = base.power_dbm(s)
+        out.append(base.with_power(s, max(power - 3.0,
+                                          spec.min_power_dbm)))
+        out.append(base.with_power(s, min(power + 2.0,
+                                          spec.max_power_dbm)))
+        for step in (-2.0, 2.0):
+            out.append(base.with_tilt(s, float(np.clip(
+                base.tilt_deg(s) + step, spec.tilt_range.min_deg,
+                spec.tilt_range.max_deg))))
+        out.append(base.with_offline([s]))
+        out.append(base.with_azimuth_offset(s, 10.0))
+    return [c for c in dict.fromkeys(out) if c != base]
+
+
+def _assert_canonical(score, want, db) -> None:
+    """Kernel score vs. the canonical utility.
+
+    Bitwise on float64 planes.  On float32 planes the incremental
+    total the kernel shares with ``evaluate_batch`` (``total + new -
+    old``) rounds differently from the canonical re-summed total;
+    measured here, off-air moves of the edge sectors at -125 dB shift
+    a few SINRs across a CQI step (2 of 31 candidates, 1.3e-4
+    relative).  Searches confirm every winner canonically.
+    """
+    if db.plane_dtype == np.float64:
+        assert score == want
+    else:
+        assert abs(score - want) <= 1e-3 * abs(want)
+
+
+class TestKernelParity:
+    """The windowed kernel at any window == evaluate_batch's
+    per-candidate reduction == evaluate, and windowed evaluate_delta ==
+    evaluate on every raster — on float64 dict and float32 packed
+    backends, with and without a clip floor, with ``roi`` on and off."""
+
+    @pytest.mark.parametrize("roi", [True, False])
+    @pytest.mark.parametrize("name,floor,packed", _BACKENDS)
+    def test_kernel_matches_batch_and_canonical(self, name, floor, packed,
+                                                roi, toy_grid, toy_network,
+                                                tmp_path):
+        from repro.model.load import uniform_per_sector_density
+        db = _backend(name, floor, packed, toy_grid, toy_network, tmp_path)
+        engine = AnalysisEngine(db, link=LinkAdaptation(), roi=roi)
+        full_window = engine.full_window
+        assert full_window == (0, db.grid.shape[0], 0, db.grid.shape[1])
+        base = toy_network.planned_configuration()
+        density = uniform_per_sector_density(
+            engine.evaluate(base, np.zeros(engine.grid.shape)), 90.0)
+        shares = []
+        for start in (base, base.with_offline([1])):
+            _, incumbent = engine.evaluate_with_incumbent(start, density)
+            baseline = RoiBaseline.from_incumbent(incumbent, _UTILITY,
+                                                  density)
+            candidates = _move_fan(toy_network, start)
+            batch = engine.evaluate_batch(incumbent, candidates, density)
+            reduced = (_UTILITY.per_ue(batch.rate_bps) * density).reshape(
+                len(candidates), -1).sum(axis=1)
+            for k, config in enumerate(candidates):
+                changed = engine.single_sector_change(incumbent, config)
+                full = engine.evaluate(config, density)
+                window = engine.roi_window(incumbent, config, changed)
+                shares.append(box_area(window) / db.grid.n_cells)
+                for box in {window, full_window}:
+                    score = score_candidate(engine, baseline, config,
+                                            changed, box, density, _UTILITY)
+                    assert score == float(reduced[k]), (name, config, box)
+                    _assert_canonical(score, _UTILITY.evaluate(full), db)
+                state, _ = engine.evaluate_delta(incumbent, config,
+                                                 density)
+                _assert_states_equal(state, full)
+        if not roi or (floor is None and not packed):
+            # No footprints in play: every window is the full grid.
+            assert set(shares) == {1.0}
+        elif floor == -125.0:
+            # Windows wider than half the grid, short of all of it.
+            assert any(0.5 < share < 1.0 for share in shares)
+        elif floor == -110.0:
+            assert min(shares) < 0.5
+
+    @pytest.mark.parametrize("name,floor,packed", _BACKENDS)
+    def test_evaluator_scores_match_canonical(self, name, floor, packed,
+                                              toy_grid, toy_network,
+                                              tmp_path):
+        """score_candidates through the kernel == a fresh canonical
+        evaluation, for every move kind and backend."""
+        from repro.model.load import uniform_per_sector_density
+        db = _backend(name, floor, packed, toy_grid, toy_network, tmp_path)
+        engine = AnalysisEngine(db, link=LinkAdaptation())
+        reference = AnalysisEngine(db, link=LinkAdaptation())
+        base = toy_network.planned_configuration()
+        density = uniform_per_sector_density(
+            engine.evaluate(base, np.zeros(engine.grid.shape)), 90.0)
+        evaluator = Evaluator(engine, density, _UTILITY)
+        evaluator.utility_of(base)
+        candidates = _move_fan(toy_network, base)
+        scores = evaluator.score_candidates(candidates)
+        for score, config in zip(scores, candidates):
+            _assert_canonical(
+                score, _UTILITY.evaluate(reference.evaluate(config,
+                                                            density)), db)
+
+
+# ----------------------------------------------------------------------
 class TestRoiParallelParity:
     """The pool ships ROI baselines; results stay bitwise-serial."""
 
@@ -341,7 +482,16 @@ class TestRoiParallelParity:
 
 # ----------------------------------------------------------------------
 class TestRoiFallbacks:
-    """Every trigger degrades to the dense path, never to a wrong answer."""
+    """Every case without a footprint window takes the full-grid
+    window through the same kernel, never a wrong answer."""
+
+    def _assert_all_full_grid(self, registry, engine, n_windows):
+        snap = registry.snapshot()
+        assert snap["magus.engine.roi_evaluations"]["value"] == n_windows
+        assert (snap["magus.engine.roi_cells"]["value"]
+                == n_windows * engine.grid.n_cells)
+        assert "magus.engine.roi_fallbacks" not in snap
+        assert "magus.engine.batched_candidates" not in snap
 
     def test_unclipped_dict_always_falls_back(self, registry, toy_engine,
                                               toy_network, toy_density):
@@ -351,17 +501,16 @@ class TestRoiFallbacks:
         evaluator.utility_of(base)
         candidates = _candidate_fan(toy_network, base)
         scores = evaluator.score_candidates(candidates)
+        # ... but footprints are unavailable, so every window is the
+        # full grid.
+        self._assert_all_full_grid(registry, toy_engine, len(candidates))
         reference = [evaluator.utility_of(c) for c in candidates]
         assert scores == reference
-        snap = registry.snapshot()
-        # ... but footprints are unavailable, so nothing is windowed.
-        assert "magus.engine.roi_evaluations" not in snap
-        assert snap["magus.engine.roi_fallbacks"]["value"] > 0
 
     def test_full_grid_footprint_falls_back(self, registry, toy_grid,
                                             toy_network):
-        """At the -150 dB default floor the toy boxes cover the grid —
-        the roi_max_fraction guard must route every candidate densely."""
+        """At the -150 dB default floor the toy boxes cover the grid,
+        so every window is the full grid."""
         db = _clipped_pathloss(toy_grid, toy_network,
                                floor=DEFAULT_CLIP_FLOOR_DB)
         H, W = db.grid.shape
@@ -374,28 +523,37 @@ class TestRoiFallbacks:
             engine.evaluate(base, np.zeros(engine.grid.shape)), 90.0)
         evaluator = Evaluator(engine, density, "performance")
         evaluator.utility_of(base)
+        # Off-air candidates shrink to the old footprint, still the
+        # full grid here.
         candidates = _candidate_fan(toy_network, base)
         scores = evaluator.score_candidates(candidates)
+        self._assert_all_full_grid(registry, engine, len(candidates))
         assert scores == [evaluator.utility_of(c) for c in candidates]
-        snap = registry.snapshot()
-        assert "magus.engine.roi_evaluations" not in snap
-        assert snap["magus.engine.roi_fallbacks"]["value"] > 0
 
-    def test_roi_opt_out(self, registry, roi_engine, toy_network, density):
-        evaluator = Evaluator(roi_engine, density, "performance",
-                              roi=False)
-        assert not roi_engine.roi       # the knob lands on the engine
+    def test_roi_opt_out(self, registry, roi_engine, dense_engine,
+                         toy_network, density):
+        """``roi=False`` on the engine makes every window the full
+        grid, with the scores of the footprint windows."""
+        assert not dense_engine.roi
         base = toy_network.planned_configuration()
-        evaluator.utility_of(base)
-        evaluator.score_candidates(_candidate_fan(toy_network, base))
-        snap = registry.snapshot()
-        assert not any("roi" in name for name in snap)
+        candidates = _candidate_fan(toy_network, base)
+        dense_ev = Evaluator(dense_engine, density, "performance")
+        dense_ev.utility_of(base)
+        scores = dense_ev.score_candidates(candidates)
+        self._assert_all_full_grid(registry, dense_engine, len(candidates))
+        roi_ev = Evaluator(roi_engine, density, "performance")
+        roi_ev.utility_of(base)
+        assert roi_ev.score_candidates(candidates) == scores
 
-    def test_roi_default_leaves_engine_setting(self, roi_engine, density):
-        Evaluator(roi_engine, density, "performance")        # roi=None
+    def test_roi_default_leaves_engine_setting(self, roi_engine,
+                                               dense_engine, density):
+        """The flag is set once, where the engine is built; an
+        evaluator never changes it."""
+        Evaluator(roi_engine, density, "performance")
+        Evaluator(dense_engine, density, "performance",
+                  strategy="parallel", workers=2).close()
         assert roi_engine.roi
-        Evaluator(roi_engine, density, "performance", roi=True)
-        assert roi_engine.roi
+        assert not dense_engine.roi
 
     def test_baseline_requires_anchored_state(self, roi_engine,
                                               toy_network, density):
@@ -419,7 +577,25 @@ class TestRoiReport:
         report = RunReport.from_registry("test", registry=registry)
         roi = report.roi_metrics()
         assert roi["magus.engine.roi_evaluations"] > 0
+        assert "magus.engine.roi_fallbacks" not in roi
+        # Footprint windows on the clipped toy grid: a real fraction.
+        assert 0.0 < roi["mean_window_share"] < 1.0
+        assert roi["mean_window_share"] == (
+            roi["magus.engine.roi_cells"]
+            / (roi["magus.engine.roi_evaluations"]
+               * roi_engine.grid.n_cells))
         assert "roi:" in report.to_table()
+        assert "mean_window_share" in report.to_table()
+
+    def test_report_share_is_one_on_full_grid(self, registry, toy_engine,
+                                              toy_network, toy_density):
+        evaluator = Evaluator(toy_engine, toy_density, "performance")
+        base = toy_network.planned_configuration()
+        evaluator.utility_of(base)
+        evaluator.score_candidates(_candidate_fan(toy_network, base))
+        roi = RunReport.from_registry("test",
+                                      registry=registry).roi_metrics()
+        assert roi["mean_window_share"] == 1.0
 
     def test_report_omits_empty_roi_section(self, registry):
         report = RunReport.from_registry("test", registry=registry)
