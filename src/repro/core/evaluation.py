@@ -250,45 +250,31 @@ class Evaluator:
         """``{index: utility}`` for one incumbent's candidates.
 
         ``items`` holds ``(index, changed sector, window)`` triples.
-        With a pool, footprint windows fan out through
-        :meth:`~repro.parallel.EvaluationService.score_batch_roi` and
-        full-grid windows through its dense
-        :meth:`~repro.parallel.EvaluationService.score_batch`;
-        whatever the pool declines (no pool, batch under the
-        threshold, stale epoch, worker failure...) runs through the
-        serial kernel.  Every route is bitwise identical.
+        With a pool, every window — footprint or full grid — fans out
+        through one
+        :meth:`~repro.parallel.EvaluationService.score_batch_roi`
+        call; whatever the pool declines (no pool, batch under the
+        threshold, stale epoch, abandoned dispatch...) runs through
+        the serial kernel.  Both routes are bitwise identical.
         """
         engine = self.engine
         baseline = self._roi_baseline(incumbent)
-        out: Dict[int, float] = {}
+        values = None
         if self._service is not None:
             # The service does the engine accounting for what it scores.
-            windowed = [item for item in items
-                        if item[2] != engine.full_window]
-            if windowed:
-                values = self._service.score_batch_roi(
-                    baseline, [configs[i] for i, _, _ in windowed],
-                    [(changed, box) for _, changed, box in windowed])
-                if values is not None:
-                    out.update(zip((i for i, _, _ in windowed), values))
-            full = [item for item in items
-                    if item[2] == engine.full_window]
-            if full:
-                values = self._service.score_batch(
-                    incumbent, [configs[i] for i, _, _ in full])
-                if values is not None:
-                    out.update(zip((i for i, _, _ in full), values))
-        serial = [item for item in items if item[0] not in out]
-        for i, changed, box in serial:
-            out[i] = _roi.score_candidate(
-                engine, baseline, configs[i], changed, box,
-                self.ue_density, self.utility)
-        if serial:
-            engine._eval_counter.inc(len(serial))
+            values = self._service.score_batch_roi(
+                baseline, [configs[i] for i, _, _ in items],
+                [(changed, box) for _, changed, box in items])
+        if values is None:
+            values = [_roi.score_candidate(engine, baseline, configs[i],
+                                           changed, box, self.ue_density,
+                                           self.utility)
+                      for i, changed, box in items]
+            engine._eval_counter.inc(len(items))
             get_registry().counter("magus.engine.evaluations").inc(
-                len(serial))
-            engine._count_windows([box for _, _, box in serial])
-        return out
+                len(items))
+            engine._count_windows([box for _, _, box in items])
+        return dict(zip((i for i, _, _ in items), values))
 
     def _roi_baseline(self, incumbent: DeltaIncumbent) -> _roi.RoiBaseline:
         key = (incumbent.config, incumbent.epoch)

@@ -29,8 +29,8 @@ reference every fast path is checked against):
   identical* to :meth:`evaluate` (see DESIGN.md, "Evaluation
   strategies" and "Sparse ROI evaluation").
 * **batched candidate scoring** — :meth:`evaluate_batch` stacks K
-  single-sector candidates along a batch axis; the process pool's
-  dense kernel and the parity tests' reference.
+  single-sector candidates along a batch axis; the parity tests'
+  reference for the windowed kernel.
 
 The searches reach these through :class:`~repro.core.evaluation.Evaluator`,
 which owns strategy selection and fallback accounting.
@@ -67,8 +67,7 @@ class DeltaIncumbent:
     mutated never — delta evaluations copy it.  ``state`` is the
     finished :class:`NetworkState` this incumbent was evaluated into
     (set by ``_finish``); footprint windows copy its rasters and
-    recompute only the window.  Worker-attached incumbents carry
-    ``None`` — they never ran ``_finish``.
+    recompute only the window.
     """
 
     __slots__ = ("config", "planes", "total_mw", "raw_serving",

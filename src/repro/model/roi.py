@@ -35,7 +35,7 @@ evaluation".
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Tuple
 
 import numpy as np
 
@@ -70,9 +70,9 @@ def box_union(a: Box, b: Box) -> Box:
             min(a[2], b[2]), max(a[3], b[3]))
 
 
-#: The arrays a worker needs to score ROI candidates against one
-#: incumbent — nine (H, W) rasters instead of the (S, H, W) plane
-#: stack the dense pool path ships (~100x smaller at paper scale).
+#: The arrays a worker needs to score candidates against one
+#: incumbent — nine (H, W) rasters, never the (S, H, W) plane stack
+#: (~100x smaller at paper scale).
 _BASELINE_ARRAYS = ("total_mw", "raw_serving", "best_mw", "runner_val",
                     "runner_idx", "serving", "max_rate_bps", "rate_bps",
                     "weighted")
@@ -116,16 +116,17 @@ class RoiBaseline:
 
     @classmethod
     def from_incumbent(cls, incumbent, utility,
-                       ue_density: np.ndarray) -> Optional["RoiBaseline"]:
-        """Build from a finished incumbent, or ``None`` without one.
+                       ue_density: np.ndarray) -> "RoiBaseline":
+        """Build from a finished incumbent (one that ran ``_finish``).
 
-        Worker-attached incumbents carry no :attr:`state` (they never
-        ran ``_finish``); workers rebuild baselines with
-        :meth:`from_arrays` instead.
+        Raises :class:`ValueError` on an unfinished incumbent; workers
+        rebuild baselines from shared memory with :meth:`from_arrays`.
         """
-        state = getattr(incumbent, "state", None)
+        state = incumbent.state
         if state is None:
-            return None
+            raise ValueError(
+                "RoiBaseline needs a finished incumbent (from "
+                "evaluate_with_incumbent or evaluate_delta)")
         runner_val, runner_idx = incumbent.runner_up()
         weighted = utility.per_ue(state.rate_bps) * ue_density
         return cls(config=incumbent.config, epoch=incumbent.epoch,

@@ -7,16 +7,17 @@ iteration, and operators evaluate many independent upgrade scenarios
 per maintenance window.  This package exploits both on top of the
 PR-4 delta engine:
 
-* :class:`SharedPlaneStore` (``shm.py``) maps the incumbent's cached
-  ``10^(L/10)`` mW planes into POSIX shared memory once, so worker
-  processes score candidates against them zero-copy instead of
-  receiving multi-megabyte pickles per task;
+* :class:`SharedPlaneStore` (``shm.py``) maps the incumbent's nine
+  (H, W) :class:`~repro.model.roi.RoiBaseline` rasters into POSIX
+  shared memory once, so worker processes score candidates against
+  them zero-copy instead of receiving multi-megabyte pickles per task;
 * :class:`EvaluationService` (``service.py``) owns a process pool that
   fans :meth:`Evaluator.score_candidates` batches out as load-balanced
-  chunks pulled from a shared task queue, reassembles utilities in
-  deterministic candidate order (bitwise identical to the serial
-  batched path) and falls back to the serial delta path below a
-  configurable batch-size threshold where IPC overhead loses;
+  chunks pulled from a shared task queue, scores each chunk with the
+  serial windowed kernel (:func:`repro.model.roi.score_candidate`),
+  reassembles utilities in deterministic candidate order (bitwise
+  identical to the serial path) and falls back to the serial kernel
+  below a configurable batch-size threshold where IPC overhead loses;
 * :func:`UpgradePlanner.sweep_scenarios` reuses the same pool
   machinery to run independent upgrade scenarios concurrently.
 

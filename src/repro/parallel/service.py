@@ -7,19 +7,19 @@ out across a pool of worker processes.  Design constraints, in order:
    deterministic partition of the candidate list, each candidate's
    utility is reduced over its own raster inside the worker, and
    results are reassembled in candidate order — so neither the
-   chunking nor completion order can perturb a single bit.  Footprint
-   windows run the serial kernel itself
-   (:func:`repro.model.roi.score_candidate`, :meth:`score_batch_roi`);
-   full-grid windows run :meth:`AnalysisEngine.evaluate_batch` plus a
-   per-candidate reduction (:meth:`score_batch`), which the kernel
-   matches bitwise.  Winner confirmation stays canonical in the
-   caller.
-2. **Zero-copy inputs.**  The incumbent's mW planes (or, for footprint
-   windows, its nine ROI baseline rasters) are exported once per
-   anchor through a :class:`~repro.parallel.shm.SharedPlaneStore`;
-   tasks carry only array *handles* plus compact ``(sector, setting)``
-   moves.  Under the ``fork`` start method the engine itself (path-
-   loss rasters included) is inherited copy-on-write at pool start.
+   chunking nor completion order can perturb a single bit.  Workers
+   run the serial windowed kernel itself
+   (:func:`repro.model.roi.score_candidate`) on every window,
+   footprint or full grid (:meth:`score_batch_roi`;
+   :meth:`score_batch` is a thin adapter onto it).  Winner
+   confirmation stays canonical in the caller.
+2. **Zero-copy inputs.**  The incumbent's nine (H, W)
+   :class:`~repro.model.roi.RoiBaseline` rasters are exported once per
+   anchor through a :class:`~repro.parallel.shm.SharedPlaneStore` —
+   never the (S, H, W) plane stack; tasks carry only array *handles*
+   plus compact ``(sector, setting)`` moves and their windows.  Under
+   the ``fork`` start method the engine itself (path-loss rasters
+   included) is inherited copy-on-write at pool start.
 3. **Load balancing.**  Candidates are split into several chunks per
    worker, pulled from the pool's shared task queue: a worker that
    finishes early simply takes the next chunk — work stealing without
@@ -152,16 +152,7 @@ class EvaluationService:
         self.chaos = chaos
         self._pool = None
         self._pool_epoch: Optional[int] = None
-        # Memory-mapped (packed) databases produce float32 incumbents
-        # whose planes already live in the kernel page cache; spill
-        # every export to a temp file the workers mmap instead of
-        # doubling the footprint in /dev/shm.
-        spill = 0 if getattr(engine.pathloss, "is_file_backed", False) \
-            else None
-        # Capacity 4: up to two incumbents, each potentially exported
-        # twice (dense plane stack + ROI baseline rasters) when a
-        # batch mixes footprint and full-grid windows.
-        self._store = SharedPlaneStore(capacity=4, spill_bytes=spill)
+        self._store = SharedPlaneStore()
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -251,80 +242,27 @@ class EvaluationService:
                     ) -> Optional[List[float]]:
         """Utilities for single-sector ``configs`` vs. ``incumbent``.
 
-        Returns ``None`` whenever the serial path should answer
-        instead: batch below the threshold, unusable pool, stale
-        incumbent, or any worker-side refusal/failure.  On success each
-        value is the per-candidate reduction of
-        ``engine.evaluate_batch(...)`` — bitwise identical to the
-        serial kernel with a full-grid window.
+        An adapter onto :meth:`score_batch_roi`: resolves each
+        candidate's window and the incumbent's baseline, then scores
+        through the pool.  Returns ``None`` whenever the serial path
+        should answer instead: a candidate that is not a single-sector
+        change, a stale incumbent epoch (both seen by
+        ``engine.single_sector_change``), or any of
+        :meth:`score_batch_roi`'s fallbacks.  ``incumbent`` must be
+        finished (see :meth:`RoiBaseline.from_incumbent`).
         """
-        k = len(configs)
-        if k == 0:
-            return []
-        if not self.usable() or k < self.min_parallel_batch:
-            return None
-        if incumbent.epoch != self.engine.pathloss.cache_epoch:
-            get_flight_recorder().record(
-                "pool_fallback", reason="stale_incumbent_epoch",
-                candidates=k)
-            return None
-        moves = self._encode_moves(incumbent.config, configs)
-        if moves is None:
-            return None
-        self._ensure_pool()
-        if self._pool is None:
-            return None
-        handles = self._export_incumbent(incumbent)
-        chunk_count = min(k, self.workers * self.chunks_per_worker)
-        chunk_count = max(chunk_count, math.ceil(k / _MAX_CHUNK))
-        bounds = np.linspace(0, k, chunk_count + 1).astype(int)
-        tasks = [
-            _worker.ScoreTask(chunk_index=i, config=incumbent.config,
-                              handles=handles,
-                              moves=tuple(moves[bounds[i]:bounds[i + 1]]))
-            for i in range(chunk_count) if bounds[i] < bounds[i + 1]]
-
-        def rescore_serially(task: _worker.ScoreTask):
-            # Quarantine path: score one chunk in the parent through
-            # the very same evaluate_batch + per-candidate reduction
-            # the worker runs, so a rescued chunk is still bitwise
-            # identical to a pool-scored one.
-            base = list(task.config.settings)
-            chunk_configs = []
-            for sector_id, setting in task.moves:
-                settings = list(base)
-                settings[sector_id] = setting
-                chunk_configs.append(Configuration(tuple(settings)))
-            batch = self.engine.evaluate_batch(incumbent, chunk_configs,
-                                               self.ue_density)
-            if batch is None:
-                return task.chunk_index, None, None
-            values = self.utility.per_ue(batch.rate_bps) * self.ue_density
-            sums = values.reshape(values.shape[0], -1).sum(axis=1)
-            return task.chunk_index, [float(u) for u in sums], None
-
-        results = self._dispatch(_worker._score_chunk, tasks,
-                                 serial_fn=rescore_serially)
-        if results is None:
-            return None
-        ordered: List[Optional[List[float]]] = [None] * len(tasks)
-        for chunk_index, utilities, _telemetry in results:
-            if utilities is None:
-                get_flight_recorder().record(
-                    "pool_fallback", reason="worker_refused_chunk",
-                    chunk=chunk_index, candidates=k)
+        windows = []
+        for config in configs:
+            changed = self.engine.single_sector_change(incumbent, config)
+            if changed is None:
                 return None
-            ordered[chunk_index] = utilities
-        scores: List[float] = []
-        for part in ordered:
-            scores.extend(part)
-        # Keep the engine-level accounting identical to an in-process
-        # evaluate_batch (workers count into their own forked copies).
-        self.engine._eval_counter.inc(k)
-        registry = get_registry()
-        registry.counter("magus.engine.evaluations").inc(k)
-        registry.counter("magus.engine.batched_candidates").inc(k)
-        return scores
+            windows.append((changed, self.engine.roi_window(
+                incumbent, config, changed)))
+        if not windows:
+            return []
+        baseline = _roi.RoiBaseline.from_incumbent(
+            incumbent, self.utility, self.ue_density)
+        return self.score_batch_roi(baseline, configs, windows)
 
     def score_batch_roi(self, baseline: "_roi.RoiBaseline",
                         configs: Sequence[Configuration],
@@ -333,12 +271,15 @@ class EvaluationService:
         """Windowed utilities for single-sector ``configs``.
 
         ``windows`` pairs each config with its ``(changed, box)``
-        window as resolved by ``AnalysisEngine.roi_window``.  The pool chunks
-        the candidates exactly like :meth:`score_batch` but ships the
-        baseline's nine (H, W) rasters instead of the (S, H, W) plane
-        stack.  Returns ``None`` for the same serial-fallback reasons
-        as the dense path; on success the values are bitwise identical
-        to :func:`repro.model.roi.score_candidate` run serially.
+        window as resolved by ``AnalysisEngine.roi_window`` — a
+        footprint union or the full grid.  The candidates are split
+        into deterministic chunks, and each worker scores its chunk
+        against the baseline's nine shared (H, W) rasters.  Returns
+        ``None`` whenever the serial path should answer instead: batch
+        below the threshold, unusable pool, stale baseline, or a
+        dispatch abandoned after exhausted retries.  On success the
+        values are bitwise identical to
+        :func:`repro.model.roi.score_candidate` run serially.
         """
         k = len(configs)
         if k == 0:
@@ -350,13 +291,14 @@ class EvaluationService:
                 "pool_fallback", reason="stale_baseline_epoch",
                 candidates=k)
             return None
-        moves = self._encode_moves(baseline.config, configs)
-        if moves is None:
-            return None
         self._ensure_pool()
         if self._pool is None:
             return None
-        handles = self._export_roi_baseline(baseline)
+        # Exported once per baseline; later batches hit the store.
+        handles = self._store.export((baseline.config, baseline.epoch),
+                                     baseline.export_arrays())
+        moves = [(changed, config.settings[changed])
+                 for config, (changed, _) in zip(configs, windows)]
         boxes = [box for _, box in windows]
         chunk_count = min(k, self.workers * self.chunks_per_worker)
         chunk_count = max(chunk_count, math.ceil(k / _MAX_CHUNK))
@@ -386,56 +328,15 @@ class EvaluationService:
                                  serial_fn=rescore_serially)
         if results is None:
             return None
-        ordered: List[Optional[List[float]]] = [None] * len(tasks)
-        for chunk_index, utilities, _telemetry in results:
-            if utilities is None:  # pragma: no cover — defensive
-                get_flight_recorder().record(
-                    "pool_fallback", reason="worker_refused_chunk",
-                    chunk=chunk_index, candidates=k)
-                return None
-            ordered[chunk_index] = utilities
-        scores: List[float] = []
-        for part in ordered:
-            scores.extend(part)
+        # ``_dispatch`` returns results in task (= chunk) order.
+        scores = [u for _index, utilities, _telemetry in results
+                  for u in utilities]
         # Same parent-side accounting as the serial kernel (workers
-        # count into their own forked registries).
+        # count into their own forked registries, merged labeled).
         self.engine._eval_counter.inc(k)
         get_registry().counter("magus.engine.evaluations").inc(k)
         self.engine._count_windows(boxes)
         return scores
-
-    def _encode_moves(self, base_config: Configuration,
-                      configs: Sequence[Configuration]):
-        moves = []
-        for config in configs:
-            diff = base_config.diff(config)
-            if len(diff) != 1:
-                return None
-            sector_id, (_, setting) = next(iter(diff.items()))
-            moves.append((sector_id, setting))
-        return moves
-
-    def _export_incumbent(self, incumbent: DeltaIncumbent):
-        key = (incumbent.config, incumbent.epoch)
-        cached = self._store.handles(key)
-        if cached is not None:
-            return cached
-        runner_val, runner_idx = incumbent.runner_up()
-        return self._store.export(key, {
-            "planes": incumbent.planes,
-            "total_mw": incumbent.total_mw,
-            "raw_serving": incumbent.raw_serving,
-            "best_mw": incumbent.best_mw,
-            "runner_val": runner_val,
-            "runner_idx": runner_idx,
-        })
-
-    def _export_roi_baseline(self, baseline: "_roi.RoiBaseline"):
-        key = (baseline.config, baseline.epoch, "roi")
-        cached = self._store.handles(key)
-        if cached is not None:
-            return cached
-        return self._store.export(key, baseline.export_arrays())
 
     # ------------------------------------------------------------------
     # generic fan-out (scenario sweeps ride the same pool)

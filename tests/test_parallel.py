@@ -27,8 +27,7 @@ from repro.core.utility import PerformanceUtility
 from repro.obs import MetricsRegistry, set_registry
 from repro.parallel import (DEFAULT_MIN_PARALLEL_BATCH, EvaluationService,
                             SharedPlaneStore, resolve_workers)
-from repro.parallel.shm import (attach_array, attach_block,
-                                attach_handle_block)
+from repro.parallel.shm import attach_array, attach_block
 
 _UTILITY = PerformanceUtility()
 
@@ -96,39 +95,6 @@ class TestSharedPlaneStore:
         with pytest.raises(FileNotFoundError):
             attach_block(name)
         store.close()               # idempotent
-
-    def test_spill_threshold_none_never_spills(self):
-        with SharedPlaneStore() as store:
-            handles = store.export("k", {"x": np.ones(8)})
-            assert handles["x"].path is None
-
-    def test_spill_export_roundtrip(self):
-        """``spill_bytes=0`` routes exports to mmap-able temp files;
-        workers attach through the same handle API and see the same
-        read-only arrays."""
-        arrays = {"a": np.arange(12, dtype=np.float32).reshape(3, 4),
-                  "b": np.arange(5, dtype=np.int64)}
-        with SharedPlaneStore(spill_bytes=0) as store:
-            handles = store.export("k", arrays)
-            path = handles["a"].path
-            assert path is not None and os.path.exists(path)
-            assert handles["a"].block == path    # doubles as cache key
-            block = attach_handle_block(handles["a"])
-            try:
-                for name, handle in handles.items():
-                    view = attach_array(handle, block)
-                    assert np.array_equal(view, arrays[name])
-                    assert not view.flags.writeable
-            finally:
-                block.close()
-        assert not os.path.exists(path)          # close() unlinked it
-
-    def test_spill_eviction_unlinks_file(self):
-        with SharedPlaneStore(capacity=1, spill_bytes=0) as store:
-            first = store.export("k1", {"x": np.ones(4)})
-            store.export("k2", {"x": np.ones(4)})
-            assert "k1" not in store
-            assert not os.path.exists(first["x"].path)
 
 
 # ----------------------------------------------------------------------
@@ -244,7 +210,7 @@ class TestEvaluationService:
         reg = get_registry()
         assert reg.counter("magus.parallel.tasks").value > 0
         assert reg.counter("magus.parallel.worker_busy_ns").value > 0
-        assert reg.counter("magus.engine.batched_candidates").value \
+        assert reg.counter("magus.engine.roi_evaluations").value \
             == len(many)
         # S1: shm accounting balances — everything allocated was
         # released on close and the resident gauge is back to zero.
@@ -253,6 +219,48 @@ class TestEvaluationService:
         assert allocated > 0
         assert released == allocated
         assert reg.gauge("magus.parallel.shm_bytes").value == 0
+
+    @pytest.mark.parametrize("n_sectors", [3, 9])
+    def test_resident_shm_is_one_baseline_export(self, registry, toy_grid,
+                                                 n_sectors):
+        """Workers get the incumbent's nine (H, W) baseline rasters,
+        never its (S, H, W) plane stack: resident shared memory after
+        ``score_batch`` is one baseline export, whatever the sector
+        count."""
+        from conftest import make_sectors
+
+        from repro.model.engine import AnalysisEngine
+        from repro.model.load import uniform_per_sector_density
+        from repro.model.network import CellularNetwork
+        from repro.model.pathloss import PathLossDatabase
+        from repro.model.propagation import Environment
+        from repro.model.roi import RoiBaseline
+        from repro.obs import get_registry
+
+        xs = np.linspace(-1_200.0, 1_200.0, n_sectors)
+        network = CellularNetwork(make_sectors(
+            [(x, 0.0) for x in xs], azimuths=[90.0] * n_sectors,
+            power_dbm=35.0, max_power_dbm=41.0))
+        engine = AnalysisEngine(PathLossDatabase.from_environment(
+            network, Environment.flat(toy_grid), shadowing_sigma_db=0.0,
+            seed=0))
+        base = network.planned_configuration()
+        density = uniform_per_sector_density(
+            engine.evaluate(base, np.zeros(engine.grid.shape)), 90.0)
+        incumbent = _incumbent_of(engine, base, density)
+        many = _ladder(network, base, (0, 1, 2), (-2.0, -1.0, 1.0, 2.0))
+        arrays = RoiBaseline.from_incumbent(
+            incumbent, _UTILITY, density).export_arrays()
+        want = 0
+        for arr in arrays.values():
+            want = -(-want // 64) * 64 + arr.nbytes    # 64-byte aligned
+        assert all(arr.shape == engine.grid.shape
+                   for arr in arrays.values())
+        with self._service(engine, density) as service:
+            assert service.score_batch(incumbent, many) is not None
+            resident = get_registry().gauge(
+                "magus.parallel.shm_bytes").value
+        assert resident == want
 
     def test_evaluator_close_shuts_pool(self, toy_network, toy_engine,
                                         toy_density):

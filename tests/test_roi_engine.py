@@ -560,10 +560,10 @@ class TestRoiFallbacks:
         _, incumbent = roi_engine.evaluate_with_incumbent(
             toy_network.planned_configuration(), density)
         baseline = RoiBaseline.from_incumbent(incumbent, _UTILITY, density)
-        assert baseline is not None
-        incumbent.state = None          # e.g. a worker-attached incumbent
-        assert RoiBaseline.from_incumbent(incumbent, _UTILITY,
-                                          density) is None
+        assert baseline.config == incumbent.config
+        incumbent.state = None          # never ran ``_finish``
+        with pytest.raises(ValueError, match="finished incumbent"):
+            RoiBaseline.from_incumbent(incumbent, _UTILITY, density)
 
 
 # ----------------------------------------------------------------------
